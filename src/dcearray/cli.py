@@ -209,9 +209,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         tok = tok.strip()
         if not _OBS_RE.match(tok):
             raise RangeError(f"unrecognized observable token {tok!r}")
-        for idx in re.findall(r"\d+", tok):
-            if not 1 <= int(idx) <= n:
-                raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
+        if tok.startswith(("n_", "g2_", "cs_violation_")):
+            for idx in re.findall(r"\d+", tok):
+                if not 1 <= int(idx) <= n:
+                    raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
         observables.append(tok)
 
     return RunConfig(
@@ -257,6 +258,13 @@ def _spectrum(config: RunConfig):
     return eigendecompose(build_laplacian(config.topology))
 
 
+def _qutrit_state(modes, spectrum, temperature):
+    """Post-selected two-qutrit state: leading order at T = 0, else Gaussian."""
+    if temperature == 0.0:
+        return perturbative_density_matrix(modes, spectrum)
+    return density_matrix(output_gaussian(modes, spectrum, temperature))
+
+
 def _point_values(config, spectrum, drive, theta, temperature):
     """Observable values at one (theta, T) grid point."""
     modes = mode_response(replace(drive, theta=theta), config.line, spectrum)
@@ -275,11 +283,7 @@ def _point_values(config, spectrum, drive, theta, temperature):
     def get_tdm():
         nonlocal tdm
         if tdm is None:
-            if temperature == 0.0:
-                tdm = perturbative_density_matrix(modes, spectrum)
-            else:
-                state = output_gaussian(modes, spectrum, temperature)
-                tdm = density_matrix(state, post_select=True, max_degree=None)
+            tdm = _qutrit_state(modes, spectrum, temperature)
         return tdm
 
     values = []
@@ -434,12 +438,7 @@ def _run_entangle(config: RunConfig) -> tuple:
         modes = mode_response(
             replace(drive, theta=float(cfg.thetas[0])), cfg.line, spectrum
         )
-        temp = cfg.temperatures[0]
-        if temp == 0.0:
-            tdm = perturbative_density_matrix(modes, spectrum)
-        else:
-            state = output_gaussian(modes, spectrum, temp)
-            tdm = density_matrix(state, post_select=True, max_degree=None)
+        tdm = _qutrit_state(modes, spectrum, cfg.temperatures[0])
         lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
         for row in tdm.rho:
             cells = []
@@ -496,15 +495,8 @@ def _run_oracle_check(config: RunConfig) -> tuple:
         theirs = oracle.moment(ref, word)
         moment_err = max(moment_err, abs(ours - theirs))
 
-    tdm = density_matrix(state, post_select=False, max_degree=None)
-    rho_ref = np.zeros((9, 9), dtype=complex)
-    for n in range(3):
-        for m in range(3):
-            for n2 in range(3):
-                for m2 in range(3):
-                    rho_ref[3 * n + m, 3 * n2 + m2] = oracle.fock_element(
-                        ref, (n, m), (n2, m2)
-                    )
+    tdm = density_matrix(state, post_select=False)
+    rho_ref = oracle.fock_block(ref, levels=3)
     rho_ref /= np.trace(rho_ref).real  # same qutrit-block normalization
     rho_err = float(np.max(np.abs(tdm.rho - rho_ref)))
     lines = [

@@ -53,10 +53,6 @@ class NotNormalOrdered(DceArrayError):
     """Wick evaluation expects all daggered operators left of undaggered ones."""
 
 
-class TruncationUnreliable(DceArrayError):
-    """Vacuum-projector series remainder exceeds the requested tolerance."""
-
-
 class NotNormalized(DceArrayError):
     """Density matrix trace deviates from one."""
 

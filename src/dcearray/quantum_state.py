@@ -10,9 +10,10 @@ occupation N_T per mode the second moments in the waveguide basis are
     <a_i^dag a_j> = sum_n c_n^i c_n^j [N_T + |v_n|^2 (1 + 2 N_T)]
     <a_i a_j>     = sum_n c_n^i c_n^j u_n v_n (1 + 2 N_T)
 
-All higher moments follow from Wick's theorem; the truncated two-qutrit
-density matrix is assembled from normal-ordered moments via the
-vacuum-projector expansion  |0><0| = :exp(-sum a^dag a):.
+All higher moments follow from Wick's theorem.  The two-qutrit density
+matrix is the exact Gaussian Fock block: the Fock elements of a zero-mean
+Gaussian state follow in closed form from its second moments through a
+multidimensional Hermite recursion.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from itertools import product
 import numpy as np
 
 from .drive import ModeResponse
-from .errors import (
-    NotNormalized,
-    NotNormalOrdered,
-    TruncationUnreliable,
-    ZeroIntensity,
-)
+from .errors import NotNormalized, NotNormalOrdered, ZeroIntensity
 from .lattice import LaplacianSpectrum
 
 __all__ = [
@@ -192,132 +188,45 @@ class TruncatedDensityMatrix:
     post_selected: bool
 
 
-def _projector_moments(state: GaussianOutputState, pq_top: int):
-    """Wick moments feeding the two-qutrit vacuum-projector expansion.
+def _fock_block(state: GaussianOutputState) -> np.ndarray:
+    """Exact Fock elements <n m| rho |n' m'> of a zero-mean Gaussian state.
 
-    ``moments[np_, mp_, n, m][p, q]`` is the Wick sum for the word with
-    (np_+p, mp_+q) daggered and (n+p, m+q) undaggered operators of the two
-    modes, for all qutrit labels and series orders p, q <= ``pq_top``.
-    Same recursion as :func:`wick_moment`, vectorized over the annihilator
-    axes and streamed over the mode-1 dagger count so only three
-    (d2, a1, a2) slices are alive at once.
+    Multidimensional Hermite recursion (Miatto & Quesada, Quantum 4, 366
+    (2020)): with Q = [[N^T + I, M], [M^*, N + I]], N = <a^dag a>,
+    M = <a a>, and A = X (I - Q^-1)^*, where X swaps the two halves,
+    rho[k_bra, k_ket] = det(Q)^(-1/2) G(k), where k joins the two photon-number
+    tuples, G(0) = 1 and G(k + e_i) = sum_j A_ij sqrt(k_j) G(k - e_j) /
+    sqrt(k_i + 1).  Every guide runs over 0..QUTRIT_LEVELS-1; the block is
+    not renormalized.
     """
-    num = state.number
-    ano = state.anomalous
-    ano_dag = np.conj(ano)
-    levels = QUTRIT_LEVELS
-    top = levels - 1 + pq_top
-    shape = (top + 1, top + 1, top + 1)  # (d2, a1, a2)
-    mult1 = np.arange(1, top + 1)[:, None]
-    mult2 = np.arange(1, top + 1)[None, :]
-    q_idx = np.arange(pq_top + 1)
-
-    moments = np.zeros((levels,) * 4 + (pq_top + 1, pq_top + 1), dtype=complex)
-
-    def harvest(slice_d1, d1):
-        for np_ in range(levels):
-            p = d1 - np_
-            if not 0 <= p <= pq_top:
-                continue
-            for mp_, n, m in product(range(levels), repeat=3):
-                moments[np_, mp_, n, m][p, :] = slice_d1[
-                    mp_ + q_idx, n + p, m + q_idx
-                ]
-
-    # only words with at most `budget` operators in total are ever read, so
-    # each (d1, d2) plane is filled on the rectangle a1, a2 < cap only
-    budget = 4 * (levels - 1) + 2 * pq_top
-
-    def cap(d1, d2):
-        return min(top, budget - d1 - d2) + 1
-
-    # d1 = 0 slice: annihilator-only base, then the mode-2 dagger recursion
-    cur = np.zeros(shape, dtype=complex)
-    base = cur[0]
-    base[0, 0] = 1.0
-    k = cap(0, 0)
-    for a1 in range(k):
-        for a2 in range(min(k, budget - a1 + 1)):
-            if a1 == 0 and a2 == 0:
-                continue
-            val = 0.0j
-            if a1 > 0:
-                if a1 > 1:
-                    val += (a1 - 1) * ano[0, 0] * base[a1 - 2, a2]
-                if a2 > 0:
-                    val += a2 * ano[0, 1] * base[a1 - 1, a2 - 1]
-            elif a2 > 1:
-                val += (a2 - 1) * ano[1, 1] * base[a1, a2 - 2]
-            base[a1, a2] = val
-    for d2 in range(1, top + 1):
-        k = cap(0, d2)
-        if k <= 0:
-            break
-        plane = np.zeros((k, k), dtype=complex)
-        if d2 > 1:
-            plane += (d2 - 1) * ano_dag[1, 1] * cur[d2 - 2, :k, :k]
-        prev = cur[d2 - 1]
-        plane[1:, :] += mult1[: k - 1] * num[1, 0] * prev[: k - 1, :k]
-        plane[:, 1:] += mult2[:, : k - 1] * num[1, 1] * prev[:k, : k - 1]
-        cur[d2, :k, :k] = plane
-    harvest(cur, 0)
-
-    # stream over the mode-1 dagger count, keeping two previous slices
-    slice_prev2 = None
-    slice_prev = cur
-    for d1 in range(1, top + 1):
-        cur = np.zeros(shape, dtype=complex)
-        for d2 in range(top + 1):
-            k = cap(d1, d2)
-            if k <= 0:
-                break
-            plane = np.zeros((k, k), dtype=complex)
-            if d1 > 1:
-                plane += (d1 - 1) * ano_dag[0, 0] * slice_prev2[d2, :k, :k]
-            if d2 > 0:
-                plane += d2 * ano_dag[0, 1] * slice_prev[d2 - 1, :k, :k]
-            prev = slice_prev[d2]
-            plane[1:, :] += mult1[: k - 1] * num[0, 0] * prev[: k - 1, :k]
-            plane[:, 1:] += mult2[:, : k - 1] * num[0, 1] * prev[:k, : k - 1]
-            cur[d2, :k, :k] = plane
-        harvest(cur, d1)
-        slice_prev2, slice_prev = slice_prev, cur
-    return moments
-
-
-def _element_series(moments, inv_fact, n, m, np_, mp_, pq_max):
-    """Vacuum-projector series for <|np_ mp_><n m|> split by order p+q.
-
-    Returns an array indexed by s = p+q with the total contribution of that
-    order; the caller sums and uses the tail for the remainder estimate.
-    ``inv_fact[k]`` holds 1/k! for k up to at least ``pq_max``.
-    """
-    norm = math.sqrt(
-        math.factorial(n) * math.factorial(m)
-        * math.factorial(np_) * math.factorial(mp_)
+    n = state.n_modes
+    eye = np.eye(n)
+    q = np.block(
+        [
+            [state.number.T + eye, state.anomalous],
+            [np.conj(state.anomalous), state.number + eye],
+        ]
     )
-    size = pq_max + 1
-    block = moments[np_, mp_, n, m][:size, :size]
-    terms = np.outer(inv_fact[:size], inv_fact[:size]) * block
-    # order s = p+q is one anti-diagonal; bincount sums every order in one pass
-    order = np.add.outer(np.arange(size), np.arange(size)).ravel()
-    sums = np.bincount(order, terms.real.ravel()) + 1j * np.bincount(
-        order, terms.imag.ravel()
-    )
-    return (-1.0) ** np.arange(size) / norm * sums[:size]
-
-
-def _series_ratio(state: GaussianOutputState) -> float:
-    """Asymptotic per-order decay of the vacuum-projector series.
-
-    Largest eigenvalue of the doubled second-moment matrix; for a single
-    squeezed thermal mode this is (1 + 2 N_T) e^{2r} / 2 - 1/2.  The series
-    converges iff the ratio is below one.
-    """
-    num = state.number
-    ano = state.anomalous
-    doubled = np.block([[num, ano], [np.conj(ano), np.conj(num)]])
-    return float(np.max(np.abs(np.linalg.eigvals(doubled))))
+    swap = np.roll(np.eye(2 * n), n, axis=0)
+    a = swap @ np.conj(np.eye(2 * n) - np.linalg.inv(q))
+    g = np.zeros((QUTRIT_LEVELS,) * (2 * n), dtype=complex)
+    g[(0,) * (2 * n)] = 1.0
+    # lexicographic order visits every k - e_j before k
+    for k in product(range(QUTRIT_LEVELS), repeat=2 * n):
+        if not any(k):
+            continue
+        i = next(idx for idx, count in enumerate(k) if count)
+        prev = list(k)
+        prev[i] -= 1
+        value = 0.0j
+        for j, count in enumerate(prev):
+            if count:
+                low = list(prev)
+                low[j] -= 1
+                value += a[i, j] * math.sqrt(count) * g[tuple(low)]
+        g[k] = value / math.sqrt(k[i])
+    dim = QUTRIT_LEVELS**n
+    return g.reshape(dim, dim) / math.sqrt(np.linalg.det(q).real)
 
 
 def density_matrix(
@@ -328,12 +237,10 @@ def density_matrix(
 ) -> TruncatedDensityMatrix:
     """Two-qutrit density matrix of a two-waveguide Gaussian output state.
 
-    Each element <n'm'| projector |nm> is expanded through the normal-ordered
-    vacuum projector and truncated at total operator degree ``max_degree``.
-    The first omitted order of the trace elements estimates the remainder;
-    if it exceeds ``remainder_tol`` of the trace the truncation is refused.
-    ``max_degree=None`` picks the degree from the series decay ratio and
-    retries with more terms while the remainder check trips.
+    The elements are the exact Fock elements of the Gaussian state from the
+    Hermite recursion of :func:`_fock_block`; the block is renormalized to
+    unit trace.  ``max_degree`` and ``remainder_tol`` are accepted for
+    compatibility and ignored: nothing is truncated but the qutrit block.
 
     ``post_select=True`` removes only the vacuum |00> and renormalizes the
     remaining eight levels, so the one-photon and three- and four-photon
@@ -345,56 +252,15 @@ def density_matrix(
     """
     if state.n_modes != 2:
         raise ValueError("density_matrix covers the two-waveguide case only")
-    if max_degree is None:
-        ratio = _series_ratio(state)
-        if ratio >= 0.95:
-            raise TruncationUnreliable(
-                f"projector series decays at ratio {ratio:.3g}; too close to "
-                "divergence for a reliable truncation"
-            )
-        guess = 12
-        if ratio > 0.0:
-            guess = 2 * math.ceil(
-                1.4 * math.log(1e4 / remainder_tol) / -math.log(ratio)
-            )
-        degree = min(400, max(12, guess))
-        while True:
-            try:
-                return density_matrix(state, post_select, degree, remainder_tol)
-            except TruncationUnreliable:
-                if degree >= 400:
-                    raise
-                degree = min(400, int(degree * 1.5))
     mean_occ = float(np.max(np.real(np.diag(state.number))))
     if mean_occ > 0.5:
         warnings.warn(
-            f"mean photon number {mean_occ:.3g} > 0.5; qutrit truncation "
-            "and the projector series may be inaccurate",
+            f"mean photon number {mean_occ:.3g} > 0.5; the qutrit block "
+            "misses much of the population beyond two photons per guide",
             stacklevel=2,
         )
 
-    dim = QUTRIT_LEVELS * QUTRIT_LEVELS
-    rho = np.zeros((dim, dim), dtype=complex)
-    pq_top = max(1, max_degree // 2) + 1
-    moments = _projector_moments(state, pq_top)
-    inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1, pq_top + 1))))
-    remainder = 0.0
-    trace = 0.0
-    for n, m, np_, mp_ in product(range(QUTRIT_LEVELS), repeat=4):
-        base = n + m + np_ + mp_
-        pq_max = max(0, (max_degree - base) // 2)
-        orders = _element_series(moments, inv_fact, n, m, np_, mp_, pq_max + 1)
-        value = sum(orders[: pq_max + 1])
-        rho[3 * n + m, 3 * np_ + mp_] = value
-        if (n, m) == (np_, mp_):
-            trace += value.real
-            remainder += abs(orders[pq_max + 1])
-    if trace > 0 and remainder > remainder_tol * trace:
-        raise TruncationUnreliable(
-            f"series remainder {remainder:.3g} exceeds {remainder_tol:g} "
-            f"of trace {trace:.3g}; raise max_degree"
-        )
-
+    rho = _fock_block(state)
     rho = 0.5 * (rho + rho.conj().T)
     if post_select:
         rho[0, :] = 0.0

@@ -53,6 +53,11 @@ def test_observable_index_range():
         parse_config(MINIMAL + "observables = n_3\n")
 
 
+def test_f_eq10_is_not_read_as_an_index():
+    cfg = parse_config(MINIMAL + "observables = entropy,f_noon,f_eq10\n")
+    assert cfg.observables == ("entropy", "f_noon", "f_eq10")
+
+
 def test_overrides_layer_on_file():
     cfg = parse_config(MINIMAL, {"phi_rad": "0.9", "temperature_mk": "0,25"})
     assert cfg.phi == pytest.approx(0.9)

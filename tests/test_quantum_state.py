@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dcearray import oracle
 from dcearray.drive import DriveParams, LineParams, calibrate_da0, mode_response
-from dcearray.errors import NotNormalized, NotNormalOrdered, TruncationUnreliable
+from dcearray.errors import NotNormalized, NotNormalOrdered
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.quantum_state import (
     GaussianOutputState,
@@ -154,25 +155,29 @@ def test_density_matrix_vacuum():
 
 def test_density_matrix_post_selection_removes_vacuum():
     state = state_from_eps([0.15, 0.1])
-    tdm = density_matrix(state, post_select=True, max_degree=None)
+    tdm = density_matrix(state, post_select=True)
     assert tdm.rho[0, 0] == 0.0
     assert np.trace(tdm.rho).real == pytest.approx(1.0, abs=1e-12)
     eigs = np.linalg.eigvalsh(tdm.rho)
-    # the residual negativity is the qutrit truncation itself (population
-    # beyond two photons per guide), not numerical noise; it shrinks with eps
-    assert eigs.min() > -5e-9
+    # a principal block of a positive operator is positive, so only rounding
+    # may push an eigenvalue below zero
+    assert eigs.min() > -1e-12
 
 
-def test_density_matrix_truncation_guard():
-    state = state_from_eps([0.3, -0.3], n_thermal=0.2)
-    with pytest.raises(TruncationUnreliable):
-        density_matrix(state, post_select=False, max_degree=8)
-
-
-def test_density_matrix_auto_degree_handles_strong_drive():
-    state = state_from_eps([0.3, -0.3], n_thermal=0.2)
-    tdm = density_matrix(state, post_select=False, max_degree=None)
-    assert np.trace(tdm.rho).real == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize(
+    "eps, n_thermal",
+    [(0.3, 0.2), (0.6, 0.3)],
+    ids=["eps0.3-nt0.2", "eps0.6-nt0.3"],
+)
+def test_density_matrix_auto_degree_handles_strong_drive(eps, n_thermal):
+    state = state_from_eps([eps, -eps], n_thermal=n_thermal)
+    tdm = density_matrix(state, post_select=False)
+    ref = oracle.build_state(
+        [eps, -eps], SPEC2.modes, n_thermal=n_thermal, cutoff=40, deficit_tol=1e-8
+    )
+    rho_ref = oracle.fock_block(ref, levels=3)
+    rho_ref /= np.trace(rho_ref).real
+    assert np.max(np.abs(tdm.rho - rho_ref)) <= 1e-12
 
 
 def test_noon_state_from_equal_amplitudes():
@@ -183,7 +188,7 @@ def test_noon_state_from_equal_amplitudes():
 
 def test_pair_state_from_opposite_amplitudes():
     state = state_from_eps([0.05, -0.05])
-    tdm = density_matrix(state, post_select=True, max_degree=None)
+    tdm = density_matrix(state, post_select=True)
     psi_11 = np.zeros(9)
     psi_11[3 * 1 + 1] = 1.0
     overlap = float(np.real(psi_11 @ tdm.rho @ psi_11))
@@ -270,9 +275,7 @@ def test_wick_density_matrix_tracks_perturbative_state():
     modes = mode_response(d, LINE, SPEC2)
     eps2 = float(np.max(modes.eps**2))
     pert = perturbative_density_matrix(modes, SPEC2)
-    wick = density_matrix(
-        output_gaussian(modes, SPEC2, 0.0), post_select=True, max_degree=None
-    )
+    wick = density_matrix(output_gaussian(modes, SPEC2, 0.0), post_select=True)
     assert np.max(np.abs(wick.rho - pert.rho)) < 10.0 * eps2
 
 
@@ -280,9 +283,7 @@ def test_purity_at_calibrated_amplitude():
     d = DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=1.2, omega_d=OMEGA_D)
     d = calibrate_da0(d, LINE, SPEC2, 0.1)
     modes = mode_response(d, LINE, SPEC2)
-    tdm = density_matrix(
-        output_gaussian(modes, SPEC2, 0.0), post_select=True, max_degree=None
-    )
+    tdm = density_matrix(output_gaussian(modes, SPEC2, 0.0), post_select=True)
     purity = float(np.real(np.trace(tdm.rho @ tdm.rho)))
     assert purity == pytest.approx(1.0, abs=5e-3)
 
@@ -292,6 +293,6 @@ def test_noon_fidelity_degrades_with_temperature():
     fids = []
     for t_mk in (50.0, 60.0):
         state = output_gaussian(modes, SPEC2, t_mk * 1e-3)
-        tdm = density_matrix(state, post_select=True, max_degree=None)
+        tdm = density_matrix(state, post_select=True)
         fids.append(noon_fidelity(tdm))
     assert fids[0] > fids[1]
