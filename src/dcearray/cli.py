@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +33,7 @@ from .quantum_state import (
     noon_fidelity,
     output_gaussian,
     perturbative_density_matrix,
+    thermal_occupation,
     von_neumann_entropy,
     wick_moment,
 )
@@ -68,6 +68,8 @@ CONFIG_KEYS = (
 _OBS_RE = re.compile(
     r"^(n_\d+|g2_\d+_\d+|cs_violation_\d+_\d+|entropy|f_noon|f_eq10)$"
 )
+_QUTRIT_OBS = ("entropy", "f_noon", "f_eq10")  # two-qutrit state: n = 2 only
+_MIN_N = {"time-delay": 2, "broadband": 2}  # they report guide 2 as well
 
 DEFAULTS = {
     "topology": "open_chain",
@@ -102,9 +104,12 @@ class RunConfig:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise RangeError(f"{key}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise RangeError(f"{key}={raw!r} is not finite")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -130,8 +135,14 @@ def _parse_pairs(text: str) -> dict:
     return pairs
 
 
-def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate a key=value config, with optional layered overrides."""
+def parse_config(
+    text: str, overrides: dict | None = None, command: str = "sweep"
+) -> RunConfig:
+    """Parse and validate a key=value config, with optional layered overrides.
+
+    ``command`` names the subcommand the config is for: ``entangle`` puts
+    its own observables in place of sweep-only ones.
+    """
     raw = dict(DEFAULTS)
     raw.update(_parse_pairs(text))
     for key, value in (overrides or {}).items():
@@ -142,8 +153,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     kind = raw["topology"]
     n = _parse_int("n", raw["n"])
-    if n < 1:
-        raise RangeError(f"n must be at least 1, got {n}")
+    n_min = _MIN_N.get(command, 1)
+    if n < n_min:
+        raise RangeError(f"{command} needs n >= {n_min}, got n = {n}")
     if kind == "open_chain":
         topology = ArrayTopology.open_chain(n)
     elif kind == "ring":
@@ -192,8 +204,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         steps = _parse_int("theta_steps", raw.get("theta_steps", "200"))
         if steps < 1:
             raise RangeError(f"theta_steps must be at least 1, got {steps}")
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise RangeError("theta sweep range must be finite")
         thetas = np.linspace(start, end, steps)
         single = False
 
@@ -214,6 +224,16 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 if not 1 <= int(idx) <= n:
                     raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
         observables.append(tok)
+    if command == "entangle" and not any(t in _QUTRIT_OBS for t in observables):
+        observables = list(_QUTRIT_OBS)
+    if n != 2 and any(t in _QUTRIT_OBS for t in observables):
+        raise RangeError(f"{', '.join(_QUTRIT_OBS)} need n = 2, got n = {n}")
+
+    out = raw.get("out")
+    if out is not None and (
+        os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")
+    ):
+        raise RangeError(f"out={out!r} is not a file in an existing directory")
 
     return RunConfig(
         topology=topology,
@@ -227,7 +247,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         line=LineParams(z0=z0, v=v),
         temperatures=tuple(temps),
         observables=tuple(observables),
-        out=raw.get("out"),
+        out=out,
     )
 
 
@@ -237,8 +257,12 @@ def _fmt(value) -> str:
     return "%.17g" % value
 
 
-def _resolve_drive(config: RunConfig, spectrum) -> DriveParams:
-    """Fix da0 either directly or by calibrating over the theta grid."""
+def _prepare(config: RunConfig) -> tuple:
+    """The preamble of every subcommand: (spectrum, drive), computed once.
+
+    da0 is taken as given or calibrated over the theta grid.
+    """
+    spectrum = eigendecompose(build_laplacian(config.topology))
     seed = config.da0 if config.da0 is not None else config.a0 * 1e-3
     drive = DriveParams(
         a0=config.a0,
@@ -251,11 +275,11 @@ def _resolve_drive(config: RunConfig, spectrum) -> DriveParams:
         drive = calibrate_da0_over_grid(
             drive, config.line, spectrum, config.thetas, config.target_occupancy
         )
-    return drive
+    return spectrum, drive
 
 
-def _spectrum(config: RunConfig):
-    return eigendecompose(build_laplacian(config.topology))
+def _modes(config: RunConfig, spectrum, drive, theta: float):
+    return mode_response(replace(drive, theta=theta), config.line, spectrum)
 
 
 def _qutrit_state(modes, spectrum, temperature):
@@ -267,7 +291,7 @@ def _qutrit_state(modes, spectrum, temperature):
 
 def _point_values(config, spectrum, drive, theta, temperature):
     """Observable values at one (theta, T) grid point."""
-    modes = mode_response(replace(drive, theta=theta), config.line, spectrum)
+    modes = _modes(config, spectrum, drive, theta)
     corr = None
     tdm = None
 
@@ -306,23 +330,15 @@ def _point_values(config, spectrum, drive, theta, temperature):
     return values
 
 
-def _workers() -> int:
-    raw = os.environ.get("DCE_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_sweep(config: RunConfig) -> tuple:
+def run_sweep(config: RunConfig, prepared: tuple | None = None) -> tuple:
     """Evaluate the (theta, temperature) grid; returns (lines, n_failures).
 
     One row per grid point ordered by index, observables per the config;
     failed points leave their cells empty and carry the error message in the
-    trailing error column.
+    trailing error column.  ``prepared`` is the ``(spectrum, drive)`` pair
+    when the caller already has it.
     """
-    spectrum = _spectrum(config)
-    drive = _resolve_drive(config, spectrum)
+    spectrum, drive = prepared or _prepare(config)
     grid = [
         (theta, temp)
         for temp in config.temperatures
@@ -336,11 +352,7 @@ def run_sweep(config: RunConfig) -> tuple:
         except DceArrayError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    if _workers() > 1:
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            results = list(pool.map(evaluate, grid))
-    else:
-        results = [evaluate(p) for p in grid]
+    results = [evaluate(p) for p in grid]
 
     header = "# theta,phi,temperature_mk," + ",".join(config.observables) + ",error"
     lines = [header]
@@ -364,11 +376,8 @@ def run_sweep(config: RunConfig) -> tuple:
 
 def _run_spectrum(config: RunConfig) -> tuple:
     """Photon flux spectral density of waveguide 1 over (0, omega_d)."""
-    spectrum = _spectrum(config)
-    drive = _resolve_drive(config, spectrum)
-    modes = mode_response(
-        replace(drive, theta=float(config.thetas[0])), config.line, spectrum
-    )
+    spectrum, drive = _prepare(config)
+    modes = _modes(config, spectrum, drive, float(config.thetas[0]))
     spec_cfg = SpectralConfig(omega_d=config.omega_d, line=config.line)
     omegas = spec_cfg.omega_grid()
     lines = ["# omega_rad_s,temperature_mk,flux_1"]
@@ -382,11 +391,8 @@ def _run_spectrum(config: RunConfig) -> tuple:
 
 def _run_time_delay(config: RunConfig) -> tuple:
     """Broadband G2_11 and G2_12 against the dimensionless delay omega_d*tau."""
-    spectrum = _spectrum(config)
-    drive = _resolve_drive(config, spectrum)
-    modes = mode_response(
-        replace(drive, theta=float(config.thetas[0])), config.line, spectrum
-    )
+    spectrum, drive = _prepare(config)
+    modes = _modes(config, spectrum, drive, float(config.thetas[0]))
     spec_cfg = SpectralConfig(omega_d=config.omega_d, line=config.line)
     lines = ["# omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"]
     for x in spec_cfg.tau_grid:
@@ -400,15 +406,12 @@ def _run_time_delay(config: RunConfig) -> tuple:
 
 def _run_broadband(config: RunConfig) -> tuple:
     """Normalized zero-delay broadband correlations over the theta grid."""
-    spectrum = _spectrum(config)
-    drive = _resolve_drive(config, spectrum)
+    spectrum, drive = _prepare(config)
     lines = ["# theta,g2bb_1_1,g2bb_1_2,error"]
     failures = 0
     for theta in config.thetas:
         try:
-            modes = mode_response(
-                replace(drive, theta=float(theta)), config.line, spectrum
-            )
+            modes = _modes(config, spectrum, drive, float(theta))
             g11 = g2_broadband_normalized(0, 0, modes, spectrum, config.line)
             g12 = g2_broadband_normalized(0, 1, modes, spectrum, config.line)
             lines.append(",".join([_fmt(float(theta)), _fmt(g11), _fmt(g12), ""]))
@@ -426,19 +429,11 @@ def _run_broadband(config: RunConfig) -> tuple:
 
 def _run_entangle(config: RunConfig) -> tuple:
     """Entropy and fidelities over the grid; single-theta runs also dump rho."""
-    cfg = config
-    if not cfg.observables or not any(
-        t in ("entropy", "f_noon", "f_eq10") for t in cfg.observables
-    ):
-        cfg = replace(cfg, observables=("entropy", "f_noon", "f_eq10"))
-    lines, failures = run_sweep(cfg)
-    if cfg.single_theta:
-        spectrum = _spectrum(cfg)
-        drive = _resolve_drive(cfg, spectrum)
-        modes = mode_response(
-            replace(drive, theta=float(cfg.thetas[0])), cfg.line, spectrum
-        )
-        tdm = _qutrit_state(modes, spectrum, cfg.temperatures[0])
+    spectrum, drive = _prepare(config)
+    lines, failures = run_sweep(config, (spectrum, drive))
+    if config.single_theta:
+        modes = _modes(config, spectrum, drive, float(config.thetas[0]))
+        tdm = _qutrit_state(modes, spectrum, config.temperatures[0])
         lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
         for row in tdm.rho:
             cells = []
@@ -453,8 +448,7 @@ def _run_calibrate(config: RunConfig) -> tuple:
     """Report the da0 that meets the target occupancy over the theta grid."""
     if config.target_occupancy is None:
         raise MissingRequired("calibrate requires target_occupancy")
-    spectrum = _spectrum(config)
-    drive = _resolve_drive(config, spectrum)
+    spectrum, drive = _prepare(config)
     lines = [
         "# da0_joule,target_occupancy",
         ",".join([_fmt(drive.da0), _fmt(config.target_occupancy)]),
@@ -467,17 +461,12 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     """Compare Wick-path moments and rho against the dense Fock oracle."""
     if config.topology.n != 2:
         raise RangeError("oracle-check covers n=2 only")
-    spectrum = _spectrum(config)
-    drive = _resolve_drive(config, spectrum)
-    modes = mode_response(
-        replace(drive, theta=float(config.thetas[0])), config.line, spectrum
-    )
+    spectrum, drive = _prepare(config)
+    modes = _modes(config, spectrum, drive, float(config.thetas[0]))
     temp = config.temperatures[0]
     state = output_gaussian(modes, spectrum, temp)
     n_t = 0.0
     if temp > 0.0:
-        from .quantum_state import thermal_occupation
-
         n_t = thermal_occupation(config.omega_d / 2.0, temp)
     ref = oracle.build_state(
         modes.eps, spectrum.modes, n_thermal=n_t, cutoff=16, deficit_tol=1e-6
@@ -538,9 +527,12 @@ def main(argv=None) -> int:
     try:
         text = ""
         if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        config = parse_config(text, overrides)
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"cannot read config file: {exc}") from None
+        config = parse_config(text, overrides, args.command)
         lines, failures = SUBCOMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,10 +19,6 @@ class NotSymmetric(DceArrayError):
     """Eigensolver input matrix is not symmetric."""
 
 
-class NoConvergence(DceArrayError):
-    """Jacobi sweeps exhausted without reaching the off-diagonal tolerance."""
-
-
 class UnsupportedTopology(DceArrayError):
     """Closed-form spectrum exists only for open chains and rings."""
 

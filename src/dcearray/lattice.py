@@ -5,7 +5,9 @@ Laplacian: open chains give the path graph, rings the cycle graph, and
 arbitrary weighted graphs are accepted for defect studies.  Normal modes
 of the boundary dynamics are the Laplacian eigenvectors; every downstream
 observable is a function of the eigenvalues ``lambda_n`` and the real
-orthogonal mode coefficients ``c[n][i]``.
+orthogonal mode coefficients ``c[n][i]``.  ``eigendecompose`` obtains
+them from LAPACK (``numpy.linalg.eigh``); ``analytic_spectrum`` gives the
+closed forms for chains and rings as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import (
     NegativeWeight,
-    NoConvergence,
     NotSymmetric,
     RingTooSmall,
     UnsupportedTopology,
@@ -115,85 +116,23 @@ def build_laplacian(topology: ArrayTopology) -> np.ndarray:
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so the largest-magnitude entry is positive."""
-    out = modes.copy()
-    for k in range(out.shape[0]):
-        idx = int(np.argmax(np.abs(out[k])))
-        if out[k, idx] < 0:
-            out[k] = -out[k]
-    return out
+    lead = modes[np.arange(modes.shape[0]), np.argmax(np.abs(modes), axis=1)]
+    return modes * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
-def eigendecompose(
-    lap: np.ndarray,
-    tol_factor: float = 1e-14,
-    max_sweeps: int = 100,
-) -> LaplacianSpectrum:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
+def eigendecompose(lap: np.ndarray) -> LaplacianSpectrum:
+    """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Stops when the off-diagonal Frobenius norm drops below
-    ``tol_factor * ||L||_F``.  Small and dense by design; the arrays in
-    scope have at most a few hundred modes.
+    Eigenvalues come out ascending; ``modes[n]`` is the n-th eigenvector
+    with the sign convention of :class:`LaplacianSpectrum`.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     scale = max(1.0, float(np.abs(lap).max()))
     if lap.shape != (n, n) or np.abs(lap - lap.T).max() > 1e-12 * scale:
         raise NotSymmetric("input matrix is not symmetric within 1e-12")
-
-    a = lap.copy()
-    vecs = np.eye(n)
-    norm = np.linalg.norm(lap)
-    if norm == 0.0:
-        norm = 1.0
-    thresh = tol_factor * norm
-
-    def off_norm(mat):
-        # direct sum over off-diagonal entries; the subtraction form
-        # sum(a^2) - sum(diag^2) bottoms out at sqrt(eps)*||A|| from
-        # cancellation and stalls the convergence test
-        strict = mat - np.diag(np.diag(mat))
-        return float(np.linalg.norm(strict))
-
-    converged = n == 1
-    for _ in range(max_sweeps):
-        off = off_norm(a)
-        if off <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-    else:
-        converged = False
-    if not converged:
-        off = off_norm(a)
-        if off > thresh:
-            raise NoConvergence(
-                f"Jacobi did not converge in {max_sweeps} sweeps (off={off:g})"
-            )
-
-    lambdas = np.diag(a).copy()
-    order = np.argsort(lambdas, kind="stable")
-    lambdas = lambdas[order]
-    modes = _fix_signs(vecs[:, order].T)
-    return LaplacianSpectrum(lambdas=lambdas, modes=modes)
+    lambdas, vecs = np.linalg.eigh(lap)
+    return LaplacianSpectrum(lambdas=lambdas, modes=_fix_signs(vecs.T))
 
 
 def analytic_spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
@@ -201,7 +140,7 @@ def analytic_spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
 
     Open chain: lambda_k = 2 - 2 cos(k pi / N) with cosine eigenvectors.
     Ring: lambda_k = 2 - 2 cos(2 pi k / N) with cosine/sine pairs.
-    Serves as the independent cross-check for the Jacobi solver.
+    Serves as the independent cross-check for ``eigendecompose``.
     """
     n = topology.n
     if topology.kind is TopologyKind.OPEN_CHAIN:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import HBAR
 from .drive import LineParams, ModeResponse
@@ -110,6 +109,8 @@ def g1_broadband(
         * float(weights @ ratios)
     )
     if check:
+        from scipy.integrate import quad
+
         w_d = modes.omega_d
         integral, _ = quad(lambda w: w * w * (w_d - w), 0.0, w_d)
         numeric = (
@@ -149,9 +150,10 @@ def pair_integral(n: int, tau: float, modes: ModeResponse) -> complex:
     return -1j * modes.delta_l[n] / modes.v * _poly_kernel_closed(tau, modes.omega_d)
 
 
-def pair_integral_quadrature(n: int, tau: float, modes: ModeResponse) -> complex:
-    """Adaptive-quadrature evaluation of I_n(tau); the independent cross-check."""
-    w_d = modes.omega_d
+def _poly_kernel_quadrature(tau: float, w_d: float) -> complex:
+    """J(tau) by adaptive quadrature; the independent cross-check."""
+    from scipy.integrate import quad
+
     scale = w_d**3 / 6.0
 
     def kernel(w: float) -> complex:
@@ -161,7 +163,13 @@ def pair_integral_quadrature(n: int, tau: float, modes: ModeResponse) -> complex
                  epsabs=1e-12 * scale, epsrel=1e-12, limit=200)
     im, _ = quad(lambda w: kernel(w).imag, 0.0, w_d,
                  epsabs=1e-12 * scale, epsrel=1e-12, limit=200)
-    return -1j * modes.delta_l[n] / modes.v * complex(re, im)
+    return complex(re, im)
+
+
+def pair_integral_quadrature(n: int, tau: float, modes: ModeResponse) -> complex:
+    """Adaptive-quadrature evaluation of I_n(tau); the independent cross-check."""
+    j_tau = _poly_kernel_quadrature(tau, modes.omega_d)
+    return -1j * modes.delta_l[n] / modes.v * j_tau
 
 
 def g2_broadband(
@@ -175,24 +183,24 @@ def g2_broadband(
 ) -> float:
     """Time-delayed broadband pair correlator G2_ij(tau) of the output voltages.
 
-    G2_ij(tau) = (hbar Z0 / 4 pi)^2 |sum_n c_n^i c_n^j I_n(tau)|^2.  With
-    ``check`` the closed-form I_n is validated against adaptive quadrature
+    G2_ij(tau) = (hbar Z0 / 4 pi)^2 |sum_n c_n^i c_n^j I_n(tau)|^2.  Every
+    I_n(tau) is -i (deltaL_n / v) J(tau) with one shared delay kernel J, so
+    G2_ij(tau) = (hbar Z0 / 4 pi)^2 (|J(tau)| / v sum_n c_n^i c_n^j deltaL_n)^2.
+    With ``check`` the closed-form J is validated against adaptive quadrature
     to 1e-9 relative.
     """
     c = spectrum.modes
     kappa = HBAR * line.z0 / (4.0 * math.pi)
-    amplitude = 0.0j
-    for n in range(spectrum.n):
-        i_n = pair_integral(n, tau, modes)
-        if check and modes.delta_l[n] != 0.0:
-            ref = pair_integral_quadrature(n, tau, modes)
-            scale = max(abs(i_n), abs(ref))
-            if scale > 0 and abs(i_n - ref) > 1e-9 * scale:
-                raise QuadratureDisagreement(
-                    f"I_{n}({tau:g}) closed form {i_n} vs quadrature {ref}"
-                )
-        amplitude += c[n, i] * c[n, j] * i_n
-    return kappa**2 * abs(amplitude) ** 2
+    kernel = _poly_kernel_closed(tau, modes.omega_d)
+    if check and np.any(modes.delta_l != 0.0):
+        ref = _poly_kernel_quadrature(tau, modes.omega_d)
+        scale = max(abs(kernel), abs(ref))
+        if scale > 0 and abs(kernel - ref) > 1e-9 * scale:
+            raise QuadratureDisagreement(
+                f"J({tau:g}) closed form {kernel} vs quadrature {ref}"
+            )
+    weight = float((c[:, i] * c[:, j]) @ modes.delta_l)
+    return (kappa * abs(kernel) / modes.v * weight) ** 2
 
 
 def g2_broadband_normalized(

@@ -224,3 +224,77 @@ def test_workers_env_does_not_change_output(tmp_path, monkeypatch):
     monkeypatch.setenv("DCE_WORKERS", "4")
     assert main(args + ["--out", str(out4)]) == 0
     assert out1.read_bytes() == out4.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag", ["--theta-rad", "--temperature-mk", "--a0-joule", "--da0-joule"]
+)
+def test_non_finite_input_is_a_config_error(flag, value, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["sweep", flag, value, "--out", str(out)]
+    if flag != "--da0-joule":
+        args += ["--target-occupancy", "0.1"]
+    assert main(args) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["entangle", "--target-occupancy", "0.1", "--n", "3", "--theta-steps", "3"],
+        ["sweep", "--target-occupancy", "0.1", "--n", "3", "--observables", "entropy"],
+    ],
+)
+def test_qutrit_observables_need_two_guides(args, capsys):
+    assert main(args) == 1
+    assert "need n = 2" in capsys.readouterr().err
+
+
+def test_out_in_missing_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    import dcearray.cli as cli
+
+    def no_compute(*_):
+        raise AssertionError("computed before rejecting the output path")
+
+    monkeypatch.setattr(cli, "eigendecompose", no_compute)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--target-occupancy", "0.1", "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
+    import dcearray.cli as cli
+
+    calls = {"eigendecompose": 0, "calibrate_da0_over_grid": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*a, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "ent.csv"
+    rc = main([
+        "entangle", "--target-occupancy", "0.1", "--theta-rad", "1.0",
+        "--temperature-mk", "25", "--out", str(out),
+    ])
+    assert rc == 0
+    assert calls == {"eigendecompose": 1, "calibrate_da0_over_grid": 1}
+
+
+@pytest.mark.parametrize(
+    "command, n, message",
+    [("time-delay", "1", "n >= 2"), ("broadband", "1", "n >= 2"),
+     ("sweep", "0", "n >= 1")],
+)
+def test_subcommand_guide_count_checked_first(command, n, message, capsys):
+    assert main([command, "--target-occupancy", "0.1", "--n", n]) == 1
+    assert f"{command} needs {message}" in capsys.readouterr().err

@@ -100,7 +100,7 @@ def test_analytic_rejects_custom_graph():
         analytic_spectrum(ArrayTopology.custom(3, [(0, 1, 1.0)]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 64, 128, 256])
 @pytest.mark.parametrize("kind", ["open_chain", "ring"])
 def test_jacobi_matches_analytic_eigenvalues(kind, n):
     if kind == "ring" and n < 3:
@@ -139,7 +139,7 @@ def test_sign_convention_largest_entry_positive():
             assert row[int(np.argmax(np.abs(row)))] > 0
 
 
-def test_jacobi_agrees_with_numpy_on_random_symmetric():
+def test_eigenvalues_agree_with_eigvalsh_on_random_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(10):
         m = rng.normal(size=(8, 8))
@@ -147,3 +147,20 @@ def test_jacobi_agrees_with_numpy_on_random_symmetric():
         spec = eigendecompose(sym)
         ref = np.sort(np.linalg.eigvalsh(sym))
         assert np.max(np.abs(spec.lambdas - ref)) < 1e-10
+
+
+def test_degenerate_weighted_graph_decomposition():
+    # leaves 1..3 hang off node 0 with equal weight, so any zero-sum vector
+    # on them is an eigenvector of eigenvalue 1.5: a two-fold degeneracy
+    top = ArrayTopology.custom(
+        6, [(0, 1, 1.5), (0, 2, 1.5), (0, 3, 1.5), (0, 4, 0.7), (4, 5, 2.3)]
+    )
+    lap = build_laplacian(top)
+    spec = eigendecompose(lap)
+    assert np.sum(np.abs(spec.lambdas - 1.5) < 1e-12) == 2
+    assert np.max(np.abs(spec.modes @ spec.modes.T - np.eye(6))) < 1e-12
+    rebuilt = spec.modes.T @ np.diag(spec.lambdas) @ spec.modes
+    assert np.max(np.abs(lap - rebuilt)) < 1e-12
+    assert np.all(np.diff(spec.lambdas) >= 0.0)
+    for row in spec.modes:
+        assert row[int(np.argmax(np.abs(row)))] > 0

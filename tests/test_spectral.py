@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from scipy.integrate import quad
 
 from dcearray.constants import HBAR
 from dcearray.drive import DriveParams, LineParams, mode_response
-from dcearray.errors import ZeroIntensity
+from dcearray.errors import QuadratureDisagreement, ZeroIntensity
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.spectral import (
     SpectralConfig,
@@ -131,6 +135,50 @@ def test_pair_integral_closed_vs_quadrature(x):
     closed = pair_integral(0, tau, MODES)
     numeric = pair_integral_quadrature(0, tau, MODES)
     assert abs(closed - numeric) < 1e-9 * max(abs(closed), abs(numeric))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.4, 0.9999, 1.0001, 7.3, 29.5])
+def test_g2_broadband_ring_64_matches_per_mode_sum(x):
+    # ring-64 at the CLI defaults; G2 at every delay must equal the sum of
+    # the per-mode integrals I_n, with and without the quadrature check
+    spec = eigendecompose(build_laplacian(ArrayTopology.ring(64)))
+    d = DriveParams(a0=1e-23, da0=1e-25, phi=math.pi / 4.0, theta=0.9,
+                    omega_d=OMEGA_D)
+    modes = mode_response(d, LINE, spec)
+    tau = x / OMEGA_D
+    kappa = HBAR * LINE.z0 / (4.0 * math.pi)
+    c = spec.modes
+    for i, j in ((0, 0), (0, 1), (0, 5)):
+        fast = g2_broadband(i, j, tau, modes, spec, LINE, check=False)
+        checked = g2_broadband(i, j, tau, modes, spec, LINE, check=True)
+        amp = sum(c[n, i] * c[n, j] * pair_integral(n, tau, modes) for n in range(64))
+        ref = kappa**2 * abs(amp) ** 2
+        assert abs(fast - checked) <= 1e-12 * abs(checked)
+        assert abs(fast - ref) <= 1e-12 * abs(ref)
+
+
+def test_g2_broadband_check_catches_a_wrong_kernel(monkeypatch):
+    import dcearray.spectral as spectral
+
+    closed = spectral._poly_kernel_closed
+    monkeypatch.setattr(
+        spectral, "_poly_kernel_closed", lambda tau, w_d: closed(tau, w_d) * (1 + 1e-8)
+    )
+    tau = 3.0 / OMEGA_D
+    g2_broadband(0, 1, tau, MODES, SPEC2, LINE, check=False)
+    with pytest.raises(QuadratureDisagreement):
+        g2_broadband(0, 1, tau, MODES, SPEC2, LINE, check=True)
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    code = "import sys, dcearray.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_g2_broadband_decays_smoothly():
