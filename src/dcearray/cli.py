@@ -290,7 +290,7 @@ def _qutrit_state(modes, spectrum, temperature):
 
 
 def _point_values(config, spectrum, drive, theta, temperature):
-    """Observable values at one (theta, T) grid point."""
+    """Observable values at one (theta, T) point, and its qutrit state or None."""
     modes = _modes(config, spectrum, drive, theta)
     corr = None
     tdm = None
@@ -327,7 +327,50 @@ def _point_values(config, spectrum, drive, theta, temperature):
             values.append(noon_fidelity(get_tdm()))
         else:  # f_eq10
             values.append(maximally_entangled_fidelity(get_tdm()))
-    return values
+    return values, tdm
+
+
+def _tabulate(lead_columns, value_columns, points, evaluate) -> tuple:
+    """CSV lines of a grid: header, one row per point, status line.
+
+    ``points`` pairs the leading cells of each row with the arguments of
+    ``evaluate``, which returns the row's values.  A point that raises a
+    DceArrayError leaves its value cells empty and carries the error message
+    in the trailing error column.  Returns (lines, n_failures).
+    """
+    lines = ["# " + ",".join([*lead_columns, *value_columns, "error"])]
+    failures = 0
+    for lead, args in points:
+        try:
+            cells = [_fmt(v) for v in evaluate(*args)] + [""]
+        except DceArrayError as exc:
+            cells = [""] * len(value_columns) + [f"{type(exc).__name__}: {exc}"]
+            failures += 1
+        lines.append(",".join(lead + cells))
+    status = f"partial ({failures} of {len(points)} points failed)"
+    lines.append(f"# status: {status if failures else 'ok'}")
+    return lines, failures
+
+
+def _sweep(config: RunConfig, spectrum, drive) -> tuple:
+    """run_sweep's lines and failures, and the qutrit state of each point."""
+    states = {}
+
+    def evaluate(theta, temp):
+        values, states[theta, temp] = _point_values(
+            config, spectrum, drive, theta, temp
+        )
+        return values
+
+    points = [
+        ([_fmt(theta), _fmt(config.phi), _fmt(temp * 1e3)], (theta, temp))
+        for temp in config.temperatures
+        for theta in map(float, config.thetas)
+    ]
+    lines, failures = _tabulate(
+        ("theta", "phi", "temperature_mk"), config.observables, points, evaluate
+    )
+    return lines, failures, states
 
 
 def run_sweep(config: RunConfig, prepared: tuple | None = None) -> tuple:
@@ -338,39 +381,7 @@ def run_sweep(config: RunConfig, prepared: tuple | None = None) -> tuple:
     trailing error column.  ``prepared`` is the ``(spectrum, drive)`` pair
     when the caller already has it.
     """
-    spectrum, drive = prepared or _prepare(config)
-    grid = [
-        (theta, temp)
-        for temp in config.temperatures
-        for theta in config.thetas
-    ]
-
-    def evaluate(point):
-        theta, temp = point
-        try:
-            return _point_values(config, spectrum, drive, float(theta), temp), None
-        except DceArrayError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    results = [evaluate(p) for p in grid]
-
-    header = "# theta,phi,temperature_mk," + ",".join(config.observables) + ",error"
-    lines = [header]
-    failures = 0
-    for (theta, temp), (values, error) in zip(grid, results):
-        cells = [_fmt(float(theta)), _fmt(config.phi), _fmt(temp * 1e3)]
-        if error is None:
-            cells.extend(_fmt(v) for v in values)
-            cells.append("")
-        else:
-            cells.extend("" for _ in config.observables)
-            cells.append(error)
-            failures += 1
-        lines.append(",".join(cells))
-    if failures:
-        lines.append(f"# status: partial ({failures} of {len(grid)} points failed)")
-    else:
-        lines.append("# status: ok")
+    lines, failures, _ = _sweep(config, *(prepared or _prepare(config)))
     return lines, failures
 
 
@@ -407,40 +418,30 @@ def _run_time_delay(config: RunConfig) -> tuple:
 def _run_broadband(config: RunConfig) -> tuple:
     """Normalized zero-delay broadband correlations over the theta grid."""
     spectrum, drive = _prepare(config)
-    lines = ["# theta,g2bb_1_1,g2bb_1_2,error"]
-    failures = 0
-    for theta in config.thetas:
-        try:
-            modes = _modes(config, spectrum, drive, float(theta))
-            g11 = g2_broadband_normalized(0, 0, modes, spectrum, config.line)
-            g12 = g2_broadband_normalized(0, 1, modes, spectrum, config.line)
-            lines.append(",".join([_fmt(float(theta)), _fmt(g11), _fmt(g12), ""]))
-        except DceArrayError as exc:
-            failures += 1
-            lines.append(
-                ",".join([_fmt(float(theta)), "", "", f"{type(exc).__name__}: {exc}"])
-            )
-    if failures:
-        lines.append(f"# status: partial ({failures} points failed)")
-    else:
-        lines.append("# status: ok")
-    return lines, failures
+
+    def evaluate(theta):
+        modes = _modes(config, spectrum, drive, theta)
+        return [
+            g2_broadband_normalized(0, j, modes, spectrum, config.line)
+            for j in (0, 1)
+        ]
+
+    points = [([_fmt(theta)], (theta,)) for theta in map(float, config.thetas)]
+    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), points, evaluate)
 
 
 def _run_entangle(config: RunConfig) -> tuple:
-    """Entropy and fidelities over the grid; single-theta runs also dump rho."""
-    spectrum, drive = _prepare(config)
-    lines, failures = run_sweep(config, (spectrum, drive))
-    if config.single_theta:
-        modes = _modes(config, spectrum, drive, float(config.thetas[0]))
-        tdm = _qutrit_state(modes, spectrum, config.temperatures[0])
+    """Entropy and fidelities over the grid; single-theta runs also dump rho.
+
+    The dump reuses the state of the first row; a failed point has none.
+    """
+    lines, failures, states = _sweep(config, *_prepare(config))
+    tdm = states.get((float(config.thetas[0]), config.temperatures[0]))
+    if config.single_theta and tdm is not None:
         lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
-        for row in tdm.rho:
-            cells = []
-            for z in row:
-                cells.append(_fmt(z.real))
-                cells.append(_fmt(z.imag))
-            lines.append(",".join(cells))
+        lines.extend(
+            ",".join(_fmt(x) for z in row for x in (z.real, z.imag)) for row in tdm.rho
+        )
     return lines, failures
 
 

@@ -128,11 +128,6 @@ def mode_response(
     )
 
 
-def _max_intensity(modes: ModeResponse, spectrum: LaplacianSpectrum) -> float:
-    weights = spectrum.modes**2  # weights[n, i] = (c_n^i)^2
-    return float(np.max(weights.T @ modes.eps**2))
-
-
 def calibrate_da0(
     drive: DriveParams,
     line: LineParams,
@@ -141,16 +136,11 @@ def calibrate_da0(
 ) -> DriveParams:
     """Rescale da0 so the largest waveguide intensity equals the target at T=0.
 
-    Intensities scale exactly as da0^2, so a single evaluation fixes the scale.
+    The one-point case of :func:`calibrate_da0_over_grid`, at ``drive.theta``.
     """
-    if not 0.0 < target_max_occupancy < 1.0:
-        raise ValueError("target occupancy must lie in (0, 1)")
-    if drive.da0 <= 0:
-        raise ValueError("need a positive da0 seed")
-    peak = _max_intensity(mode_response(drive, line, spectrum), spectrum)
-    if peak == 0.0:
-        raise NoResponse("all length modulations vanish at this working point")
-    return replace(drive, da0=drive.da0 * math.sqrt(target_max_occupancy / peak))
+    return calibrate_da0_over_grid(
+        drive, line, spectrum, [drive.theta], target_max_occupancy
+    )
 
 
 def calibrate_da0_over_grid(
@@ -163,20 +153,20 @@ def calibrate_da0_over_grid(
     """Calibrate da0 against the intensity maximum over a theta grid.
 
     Mirrors the figure convention of choosing amplitudes once per sweep so
-    that max_i <a_i^dag a_i> never exceeds the target at T=0.
+    that max_i <a_i^dag a_i> never exceeds the target at T=0.  Intensities
+    scale exactly as da0^2, so one evaluation per grid point fixes the scale.
+    Lambda0 does not depend on theta, so a working point with a non-positive
+    mode energy fails at every grid point and raises NonPositiveModeEnergy.
     """
     if not 0.0 < target_max_occupancy < 1.0:
         raise ValueError("target occupancy must lie in (0, 1)")
     if drive.da0 <= 0:
         raise ValueError("need a positive da0 seed")
+    weights = spectrum.modes**2  # weights[n, i] = (c_n^i)^2
     peak = 0.0
     for theta in np.atleast_1d(thetas):
-        trial = replace(drive, theta=float(theta))
-        try:
-            resp = mode_response(trial, line, spectrum)
-        except NonPositiveModeEnergy:
-            continue
-        peak = max(peak, _max_intensity(resp, spectrum))
+        resp = mode_response(replace(drive, theta=float(theta)), line, spectrum)
+        peak = max(peak, float(np.max(weights.T @ resp.eps**2)))
     if peak == 0.0:
         raise NoResponse("no grid point produces a nonzero response")
     return replace(drive, da0=drive.da0 * math.sqrt(target_max_occupancy / peak))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy import sparse
@@ -189,19 +190,21 @@ def normal_moments(state: OracleState, totals=(2, 4)) -> dict:
     return out
 
 
+def _number_vector(state: OracleState, counts) -> np.ndarray:
+    """prod_i (a_i^dag)^n_i / sqrt(n_i!) |0> for photon numbers ``counts``."""
+    vec = state.space.vacuum().astype(complex)
+    for mode, count in enumerate(counts):
+        create = state.a_ops[mode].conj().T
+        for _ in range(count):
+            vec = create @ vec
+        vec /= math.sqrt(math.factorial(count))
+    return vec
+
+
 def fock_element(state: OracleState, bra, ket) -> complex:
     """<bra| rho |ket> with bra/ket photon-number tuples in the waveguide basis."""
-    def number_vector(ns):
-        vec = state.space.vacuum().astype(complex)
-        for mode, count in enumerate(ns):
-            create = state.a_ops[mode].conj().T
-            for _ in range(count):
-                vec = create @ vec
-            vec /= math.sqrt(math.factorial(count))
-        return vec
-
-    left = number_vector(bra)
-    right = number_vector(ket)
+    left = _number_vector(state, bra)
+    right = _number_vector(state, ket)
     return complex(left.conj() @ state.rho @ right)
 
 
@@ -213,21 +216,6 @@ def fock_block(state: OracleState, levels: int = 3) -> np.ndarray:
     is the 9x9 two-qutrit block.  The number vectors are built once and
     reused, unlike repeated calls to :func:`fock_element`.
     """
-    n_modes = state.space.n_modes
-    vectors = []
-    for flat in range(levels**n_modes):
-        counts = []
-        rest = flat
-        for _ in range(n_modes):
-            rest, n = divmod(rest, levels)
-            counts.append(n)
-        counts.reverse()
-        vec = state.space.vacuum().astype(complex)
-        for mode, count in enumerate(counts):
-            create = state.a_ops[mode].conj().T
-            for _ in range(count):
-                vec = create @ vec
-            vec /= math.sqrt(math.factorial(count))
-        vectors.append(vec)
-    basis = np.array(vectors).T  # dim x levels^N
+    counts = product(range(levels), repeat=state.space.n_modes)
+    basis = np.array([_number_vector(state, ns) for ns in counts]).T
     return basis.conj().T @ state.rho @ basis

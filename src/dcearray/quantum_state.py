@@ -10,10 +10,11 @@ occupation N_T per mode the second moments in the waveguide basis are
     <a_i^dag a_j> = sum_n c_n^i c_n^j [N_T + |v_n|^2 (1 + 2 N_T)]
     <a_i a_j>     = sum_n c_n^i c_n^j u_n v_n (1 + 2 N_T)
 
-All higher moments follow from Wick's theorem.  The two-qutrit density
-matrix is the exact Gaussian Fock block: the Fock elements of a zero-mean
-Gaussian state follow in closed form from its second moments through a
-multidimensional Hermite recursion.
+All higher moments follow from Wick's theorem, and the two-qutrit density
+matrix is the exact Gaussian Fock block.  Both come from one multidimensional
+Hermite recursion over the second moments (:func:`_hermite`): a Wick moment
+is its value for the matrix of contractions, and a Fock element its value
+for a matrix built from the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).
 """
 
 from __future__ import annotations
@@ -93,66 +94,48 @@ def output_gaussian(
     )
 
 
-def _wick_counts(state: GaussianOutputState, dag, ann) -> complex:
-    """Sum over perfect matchings for a normal-ordered word given as counts.
+def _hermite(b: list, top: tuple) -> dict:
+    """Loop-free multidimensional Hermite table H[k] for every 0 <= k <= top.
 
-    ``dag[m]`` / ``ann[m]`` count daggered / undaggered operators of mode m.
-    Contraction values: two daggers -> conj(<a a>), dagger-annihilator ->
-    <a^dag a>, two annihilators -> <a a>.  Memoized recursion; zero-mean
-    Gaussian states have no odd moments.
+    H(0) = 1 and H(k + e_i) = sum_j b_ij k_j H(k - e_j) (Miatto & Quesada,
+    Quantum 4, 366 (2020)), filled in lexicographic order of k.  H(k) sums
+    the perfect matchings of a word with k_i copies of operator i, weighting
+    each pair (i, j) by the symmetric b_ij: the Wick moments and, scaled by
+    1/sqrt(k!), the Gaussian Fock elements.  ``b`` is nested lists and the
+    table a dict, because numpy containers are slower at these sizes.
     """
-    number = state.number
-    anomalous = state.anomalous
-    anomalous_dag = np.conj(anomalous)
-    memo: dict = {}
-
-    def rec(d: tuple, a: tuple) -> complex:
-        total = sum(d) + sum(a)
-        if total == 0:
-            return 1.0 + 0.0j
-        if total % 2 == 1:
-            return 0.0j
-        key = (d, a)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = 0.0j
-        if any(d):
-            m = next(k for k, cnt in enumerate(d) if cnt > 0)
-            d1 = list(d)
-            d1[m] -= 1
-            # contract with remaining daggers
-            for k, cnt in enumerate(d1):
-                if cnt > 0:
-                    d2 = list(d1)
-                    d2[k] -= 1
-                    result += cnt * anomalous_dag[m, k] * rec(tuple(d2), a)
-            # contract with annihilators
-            for k, cnt in enumerate(a):
-                if cnt > 0:
-                    a2 = list(a)
-                    a2[k] -= 1
-                    result += cnt * number[m, k] * rec(tuple(d1), tuple(a2))
+    h = {}
+    # lexicographic order visits every k - e_i - e_j before k
+    for k in product(*(range(t + 1) for t in top)):
+        if sum(k) % 2:  # the recursion keeps parity: odd orders vanish
+            h[k] = 0.0j
+            continue
+        for i, count in enumerate(k):
+            if count:
+                break
         else:
-            m = next(k for k, cnt in enumerate(a) if cnt > 0)
-            a1 = list(a)
-            a1[m] -= 1
-            for k, cnt in enumerate(a1):
-                if cnt > 0:
-                    a2 = list(a1)
-                    a2[k] -= 1
-                    result += cnt * anomalous[m, k] * rec(d, tuple(a2))
-        memo[key] = result
-        return result
-
-    return rec(tuple(dag), tuple(ann))
+            h[k] = 1.0 + 0.0j
+            continue
+        prev = list(k)
+        prev[i] -= 1
+        value = 0.0j
+        for j, count in enumerate(prev):
+            if count:
+                prev[j] -= 1
+                value += count * b[i][j] * h[tuple(prev)]
+                prev[j] += 1
+        h[k] = value
+    return h
 
 
 def wick_moment(state: GaussianOutputState, word) -> complex:
     """Normal-ordered Gaussian moment of a word of ladder operators.
 
     ``word`` is a sequence of ``(mode_index, dagger)`` pairs with every
-    daggered operator preceding every undaggered one.
+    daggered operator preceding every undaggered one.  By Wick's theorem the
+    moment is the Hermite table of :func:`_hermite` at the per-mode counts
+    k = dag + ann, with the contractions B = [[M^*, N], [N^T, M]],
+    N = <a^dag a>, M = <a a>, restricted to the operators the word uses.
     """
     n = state.n_modes
     seen_annihilator = False
@@ -172,7 +155,14 @@ def wick_moment(state: GaussianOutputState, word) -> complex:
             ann[mode] += 1
     if (sum(dag) + sum(ann)) % 2 == 1:
         return 0.0j
-    return _wick_counts(state, dag, ann)
+    # contractions of (a_1^dag..a_n^dag, a_1..a_n) in normal order
+    number, anomalous = state.number, state.anomalous
+    upper = np.hstack((np.conj(anomalous), number))
+    b = np.vstack((upper, np.hstack((number.T, anomalous)))).tolist()
+    counts = dag + ann
+    used = [i for i, count in enumerate(counts) if count]
+    top = tuple(counts[i] for i in used)
+    return _hermite([[b[i][j] for j in used] for i in used], top)[top]
 
 
 @dataclass(frozen=True)
@@ -191,13 +181,12 @@ class TruncatedDensityMatrix:
 def _fock_block(state: GaussianOutputState) -> np.ndarray:
     """Exact Fock elements <n m| rho |n' m'> of a zero-mean Gaussian state.
 
-    Multidimensional Hermite recursion (Miatto & Quesada, Quantum 4, 366
-    (2020)): with Q = [[N^T + I, M], [M^*, N + I]], N = <a^dag a>,
-    M = <a a>, and A = X (I - Q^-1)^*, where X swaps the two halves,
-    rho[k_bra, k_ket] = det(Q)^(-1/2) G(k), where k joins the two photon-number
-    tuples, G(0) = 1 and G(k + e_i) = sum_j A_ij sqrt(k_j) G(k - e_j) /
-    sqrt(k_i + 1).  Every guide runs over 0..QUTRIT_LEVELS-1; the block is
-    not renormalized.
+    With Q = [[N^T + I, M], [M^*, N + I]], N = <a^dag a>, M = <a a>, and
+    A = X (I - Q^-1)^*, where X swaps the two halves,
+    rho[k_bra, k_ket] = det(Q)^(-1/2) H_A(k) / sqrt(k!), where k joins the two
+    photon-number tuples and H_A is the Hermite table of :func:`_hermite`
+    (Miatto & Quesada, Quantum 4, 366 (2020)).  Every guide runs over
+    0..QUTRIT_LEVELS-1; the block is not renormalized.
     """
     n = state.n_modes
     eye = np.eye(n)
@@ -209,24 +198,13 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     )
     swap = np.roll(np.eye(2 * n), n, axis=0)
     a = swap @ np.conj(np.eye(2 * n) - np.linalg.inv(q))
-    g = np.zeros((QUTRIT_LEVELS,) * (2 * n), dtype=complex)
-    g[(0,) * (2 * n)] = 1.0
-    # lexicographic order visits every k - e_j before k
-    for k in product(range(QUTRIT_LEVELS), repeat=2 * n):
-        if not any(k):
-            continue
-        i = next(idx for idx, count in enumerate(k) if count)
-        prev = list(k)
-        prev[i] -= 1
-        value = 0.0j
-        for j, count in enumerate(prev):
-            if count:
-                low = list(prev)
-                low[j] -= 1
-                value += a[i, j] * math.sqrt(count) * g[tuple(low)]
-        g[k] = value / math.sqrt(k[i])
+    h = _hermite(a.tolist(), (QUTRIT_LEVELS - 1,) * (2 * n))
+    g = [
+        value / math.sqrt(math.prod(math.factorial(count) for count in k))
+        for k, value in h.items()
+    ]
     dim = QUTRIT_LEVELS**n
-    return g.reshape(dim, dim) / math.sqrt(np.linalg.det(q).real)
+    return np.array(g).reshape(dim, dim) / math.sqrt(np.linalg.det(q).real)
 
 
 def density_matrix(

@@ -269,11 +269,12 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named function as bound in ``dcearray.cli``."""
     import dcearray.cli as cli
 
-    calls = {"eigendecompose": 0, "calibrate_da0_over_grid": 0}
-    for name in calls:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(cli, name)
 
         def counted(*a, _name=name, _original=original, **kw):
@@ -281,13 +282,51 @@ def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
             return _original(*a, **kw)
 
         monkeypatch.setattr(cli, name, counted)
-    out = tmp_path / "ent.csv"
-    rc = main([
-        "entangle", "--target-occupancy", "0.1", "--theta-rad", "1.0",
-        "--temperature-mk", "25", "--out", str(out),
-    ])
-    assert rc == 0
+    return calls
+
+
+ENTANGLE_POINT = [
+    "entangle", "--target-occupancy", "0.1", "--theta-rad", "1.0",
+    "--temperature-mk", "25",
+]
+
+
+def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "eigendecompose", "calibrate_da0_over_grid")
+    assert main(ENTANGLE_POINT + ["--out", str(tmp_path / "ent.csv")]) == 0
     assert calls == {"eigendecompose": 1, "calibrate_da0_over_grid": 1}
+
+
+def test_entangle_point_evaluates_its_state_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "density_matrix", "mode_response")
+    assert main(ENTANGLE_POINT + ["--out", str(tmp_path / "ent.csv")]) == 0
+    assert calls == {"density_matrix": 1, "mode_response": 1}
+
+
+def test_non_positive_mode_energy_is_reported_by_calibration(capsys):
+    args = ["sweep", "--phi-rad", "3", "--target-occupancy", "0.1",
+            "--theta-steps", "3"]
+    assert main(args) == 1
+    assert "mode 1 has Lambda0 =" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, rows",
+    [
+        (["sweep", "--da0-joule", "0", "--theta-steps", "3"], 3),
+        (["broadband", "--n", "2", "--da0-joule", "0", "--theta-steps", "3"], 3),
+        (["entangle", "--da0-joule", "0", "--theta-rad", "1.0"], 1),
+    ],
+    ids=["sweep", "broadband", "entangle-point"],
+)
+def test_failed_grid_points_share_one_status_format(args, rows, tmp_path):
+    out = tmp_path / "partial.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    data = [l for l in lines if not l.startswith("#")]
+    assert len(data) == rows
+    assert all("ZeroIntensity" in l for l in data)
+    assert lines[-1] == f"# status: partial ({rows} of {rows} points failed)"
 
 
 @pytest.mark.parametrize(

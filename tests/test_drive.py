@@ -137,6 +137,13 @@ def test_calibration_reaches_fixed_point():
     assert float(np.max(weights.T @ resp.eps**2)) == pytest.approx(0.1, abs=1e-12)
 
 
+def test_point_calibration_is_the_one_point_grid():
+    spec = two_guide_spectrum()
+    d = drive(math.pi / 4.0, 0.7)
+    grid = calibrate_da0_over_grid(d, LINE, spec, [d.theta], 0.1)
+    assert calibrate_da0(d, LINE, spec, 0.1).da0 == grid.da0
+
+
 def test_grid_calibration_bounds_every_point():
     spec = two_guide_spectrum()
     thetas = np.linspace(0.0, math.pi, 301)

@@ -145,6 +145,68 @@ def test_wick_matching_count_is_double_factorial(k):
     assert wick_moment(state, word).real == pytest.approx(expected)
 
 
+def _word(dag, low):
+    """Normal-ordered word from per-mode creation and annihilation counts."""
+    word = []
+    for mode, count in enumerate(dag):
+        word += [(mode, True)] * count
+    for mode, count in enumerate(low):
+        word += [(mode, False)] * count
+    return word
+
+
+@pytest.mark.parametrize(
+    "eps, n_thermal, topology, cutoff, totals",
+    [
+        ([0.2, -0.15], 0.1, ArrayTopology.open_chain(2), 20, (6,)),
+        ([0.05, -0.04, 0.025], 0.015, ArrayTopology.open_chain(3), 7, (2, 4)),
+    ],
+    ids=["2modes-order6", "3modes-order2and4"],
+)
+def test_wick_matches_oracle_moments(eps, n_thermal, topology, cutoff, totals):
+    c = eigendecompose(build_laplacian(topology)).modes
+    state = state_from_eps(eps, n_thermal=n_thermal, c=c)
+    ref = oracle.build_state(
+        eps, c, n_thermal=n_thermal, cutoff=cutoff, deficit_tol=1e-6
+    )
+    moments = oracle.normal_moments(ref, totals=totals)
+    gap = max(
+        abs(wick_moment(state, _word(dag, low)) - value)
+        for (dag, low), value in moments.items()
+    )
+    print(f"{len(moments)} words of order {totals}: max gap {gap:.2e}")
+    assert gap <= 1e-6
+
+
+def test_wick_six_operator_word_sums_fifteen_matchings():
+    spec = eigendecompose(build_laplacian(ArrayTopology.ring(8)))
+    state = output_gaussian(modes_at(math.pi / 4.0, 0.7, da0=3e-25, spectrum=spec),
+                            spec, 0.04)
+    word = [(0, True), (3, True), (5, True), (0, False), (3, False), (5, False)]
+
+    def contraction(left, right):
+        (i, dag_i), (j, dag_j) = left, right
+        if dag_i and dag_j:
+            return np.conj(state.anomalous[i, j])
+        if dag_i:
+            return state.number[i, j]
+        return state.anomalous[i, j]
+
+    def matchings(ops):
+        if not ops:
+            yield []
+            return
+        for k in range(1, len(ops)):
+            for rest in matchings(ops[1:k] + ops[k + 1:]):
+                yield [(ops[0], ops[k])] + rest
+
+    pairings = list(matchings(word))
+    assert len(pairings) == 15
+    expected = sum(np.prod([contraction(*p) for p in m]) for m in pairings)
+    assert abs(expected) > 1e-12
+    assert wick_moment(state, word) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_density_matrix_vacuum():
     state = state_from_eps([0.0, 0.0])
     tdm = density_matrix(state, post_select=False)
