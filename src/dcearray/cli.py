@@ -65,10 +65,37 @@ CONFIG_KEYS = (
     "out",
 )
 
-_OBS_RE = re.compile(
-    r"^(n_\d+|g2_\d+_\d+|cs_violation_\d+_\d+|entropy|f_noon|f_eq10)$"
-)
-_QUTRIT_OBS = ("entropy", "f_noon", "f_eq10")  # two-qutrit state: n = 2 only
+
+def _correlations(modes, spectrum, temperature):
+    """Band-centre correlations: leading order at T = 0, else Gaussian."""
+    if temperature == 0.0:
+        return g2_zero_temperature(modes, spectrum)
+    return g2_thermal(modes, spectrum, temperature)
+
+
+def _qutrit_state(modes, spectrum, temperature):
+    """Post-selected two-qutrit state (n = 2): leading order at T = 0, else Gaussian."""
+    if temperature == 0.0:
+        return perturbative_density_matrix(modes, spectrum)
+    return density_matrix(output_gaussian(modes, spectrum, temperature))
+
+
+# The observable grammar: a token is a name and one ``_<guide>`` (1-based) per
+# index.  Name -> (index count, state it reads, value from state and 0-based
+# indices).  The values call the library through this module's names, so a
+# wrapper bound over one of them (as the bench tracer does) sees each call.
+_OBSERVABLES = {
+    "n": (1, _correlations, lambda corr, i: float(corr.intensities[i])),
+    "g2": (2, _correlations, lambda corr, i, j: corr.g2(i, j)),
+    "cs_violation": (
+        2, _correlations, lambda corr, i, j: cauchy_schwarz_violation(corr, i, j)
+    ),
+    "entropy": (0, _qutrit_state, lambda tdm: von_neumann_entropy(tdm)),
+    "f_noon": (0, _qutrit_state, lambda tdm: noon_fidelity(tdm)),
+    "f_eq10": (0, _qutrit_state, lambda tdm: maximally_entangled_fidelity(tdm)),
+}
+_TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_\d+)*)")
+_QUTRIT_OBS = tuple(k for k, v in _OBSERVABLES.items() if v[1] is _qutrit_state)
 _MIN_N = {"time-delay": 2, "broadband": 2}  # they report guide 2 as well
 
 DEFAULTS = {
@@ -100,6 +127,16 @@ class RunConfig:
     temperatures: tuple       # K
     observables: tuple        # validated header tokens
     out: str | None           # output path, None for stdout
+
+
+def _observable(token: str) -> tuple | None:
+    """(state, value function, 0-based guide indices) of a token, or None."""
+    match = _TOKEN_RE.fullmatch(token)
+    if match is None or match[1] not in _OBSERVABLES:
+        return None
+    n_indices, state, value = _OBSERVABLES[match[1]]
+    indices = tuple(int(s) - 1 for s in match[2].split("_")[1:])
+    return (state, value, indices) if len(indices) == n_indices else None
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -214,16 +251,13 @@ def parse_config(
             raise RangeError(f"temperature_mk must be non-negative, got {t_mk}")
         temps.append(t_mk * 1e-3)  # millikelvin to kelvin
 
-    observables = []
-    for tok in raw["observables"].split(","):
-        tok = tok.strip()
-        if not _OBS_RE.match(tok):
+    observables = [tok.strip() for tok in raw["observables"].split(",")]
+    for tok in observables:
+        parsed = _observable(tok)
+        if parsed is None:
             raise RangeError(f"unrecognized observable token {tok!r}")
-        if tok.startswith(("n_", "g2_", "cs_violation_")):
-            for idx in re.findall(r"\d+", tok):
-                if not 1 <= int(idx) <= n:
-                    raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
-        observables.append(tok)
+        if not all(0 <= i < n for i in parsed[2]):
+            raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
     if command == "entangle" and not any(t in _QUTRIT_OBS for t in observables):
         observables = list(_QUTRIT_OBS)
     if n != 2 and any(t in _QUTRIT_OBS for t in observables):
@@ -252,8 +286,6 @@ def parse_config(
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return "%.17g" % value
 
 
@@ -282,52 +314,18 @@ def _modes(config: RunConfig, spectrum, drive, theta: float):
     return mode_response(replace(drive, theta=theta), config.line, spectrum)
 
 
-def _qutrit_state(modes, spectrum, temperature):
-    """Post-selected two-qutrit state: leading order at T = 0, else Gaussian."""
-    if temperature == 0.0:
-        return perturbative_density_matrix(modes, spectrum)
-    return density_matrix(output_gaussian(modes, spectrum, temperature))
+def _point_values(specs, modes, spectrum, temperature):
+    """Values of the parsed tokens ``specs`` at one point, and its qutrit state.
 
-
-def _point_values(config, spectrum, drive, theta, temperature):
-    """Observable values at one (theta, T) point, and its qutrit state or None."""
-    modes = _modes(config, spectrum, drive, theta)
-    corr = None
-    tdm = None
-
-    def get_corr():
-        nonlocal corr
-        if corr is None:
-            if temperature == 0.0:
-                corr = g2_zero_temperature(modes, spectrum)
-            else:
-                corr = g2_thermal(modes, spectrum, temperature)
-        return corr
-
-    def get_tdm():
-        nonlocal tdm
-        if tdm is None:
-            tdm = _qutrit_state(modes, spectrum, temperature)
-        return tdm
-
+    A state is built when a token first reads it: the first to fail names the error.
+    """
+    states = {}
     values = []
-    for token in config.observables:
-        if token.startswith("n_"):
-            i = int(token[2:]) - 1
-            values.append(float(get_corr().intensities[i]))
-        elif token.startswith("g2_"):
-            i, j = (int(s) - 1 for s in token[3:].split("_"))
-            values.append(get_corr().g2(i, j))
-        elif token.startswith("cs_violation_"):
-            i, j = (int(s) - 1 for s in token[len("cs_violation_"):].split("_"))
-            values.append(cauchy_schwarz_violation(get_corr(), i, j))
-        elif token == "entropy":
-            values.append(von_neumann_entropy(get_tdm()))
-        elif token == "f_noon":
-            values.append(noon_fidelity(get_tdm()))
-        else:  # f_eq10
-            values.append(maximally_entangled_fidelity(get_tdm()))
-    return values, tdm
+    for state, value, indices in specs:
+        if state not in states:
+            states[state] = state(modes, spectrum, temperature)
+        values.append(value(states[state], *indices))
+    return values, states.get(_qutrit_state)
 
 
 def _tabulate(lead_columns, value_columns, points, evaluate) -> tuple:
@@ -354,12 +352,12 @@ def _tabulate(lead_columns, value_columns, points, evaluate) -> tuple:
 
 def _sweep(config: RunConfig, spectrum, drive) -> tuple:
     """run_sweep's lines and failures, and the qutrit state of each point."""
+    specs = [_observable(token) for token in config.observables]
     states = {}
 
     def evaluate(theta, temp):
-        values, states[theta, temp] = _point_values(
-            config, spectrum, drive, theta, temp
-        )
+        modes = _modes(config, spectrum, drive, theta)
+        values, states[theta, temp] = _point_values(specs, modes, spectrum, temp)
         return values
 
     points = [
@@ -373,15 +371,14 @@ def _sweep(config: RunConfig, spectrum, drive) -> tuple:
     return lines, failures, states
 
 
-def run_sweep(config: RunConfig, prepared: tuple | None = None) -> tuple:
+def run_sweep(config: RunConfig) -> tuple:
     """Evaluate the (theta, temperature) grid; returns (lines, n_failures).
 
     One row per grid point ordered by index, observables per the config;
     failed points leave their cells empty and carry the error message in the
-    trailing error column.  ``prepared`` is the ``(spectrum, drive)`` pair
-    when the caller already has it.
+    trailing error column.
     """
-    lines, failures, _ = _sweep(config, *(prepared or _prepare(config)))
+    lines, failures, _ = _sweep(config, *_prepare(config))
     return lines, failures
 
 
@@ -466,9 +463,7 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     modes = _modes(config, spectrum, drive, float(config.thetas[0]))
     temp = config.temperatures[0]
     state = output_gaussian(modes, spectrum, temp)
-    n_t = 0.0
-    if temp > 0.0:
-        n_t = thermal_occupation(config.omega_d / 2.0, temp)
+    n_t = thermal_occupation(config.omega_d / 2.0, temp)
     ref = oracle.build_state(
         modes.eps, spectrum.modes, n_thermal=n_t, cutoff=16, deficit_tol=1e-6
     )
@@ -535,6 +530,15 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from None
         config = parse_config(text, overrides, args.command)
         lines, failures = SUBCOMMANDS[args.command](config)
+        payload = "\n".join(lines) + "\n"
+        if config.out:
+            try:
+                with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write out={config.out!r}: {exc.strerror}"
+                ) from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -542,11 +546,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    payload = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    else:
+    if not config.out:
         try:
             sys.stdout.write(payload)
         except BrokenPipeError:

@@ -10,7 +10,10 @@ degenerate frequency w_d/2 are
 normalized by the first power of the intensities, which keeps g2 in [0, 1]
 for states with at most one photon pair.  The finite-temperature variant
 factorizes the exact Gaussian output state (see quantum_state) and is
-normalized the same way with the thermal G1 in place of N.
+normalized the same way with the thermal G1 in place of N.  Both return a
+CorrelationSet holding only what callers read: the intensities, the
+normalized g2 matrix and the thermal occupation; M_ij itself comes from
+pair_amplitude.
 """
 
 from __future__ import annotations
@@ -36,18 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """Intensities and second-order correlations of all waveguide pairs."""
+    """Intensities and normalized second-order correlations of all guide pairs."""
 
     intensities: np.ndarray      # N_i (thermal G1_i when temperature > 0)
-    pair_amplitude: np.ndarray   # M_ij
-    g2_matrix: np.ndarray        # normalized second-order correlations
-    g2_raw: np.ndarray           # unnormalized G2_ij
-    temperature: float           # K
+    g2_matrix: np.ndarray        # g2_ij = G2_ij / sqrt(N_i N_j)
     n_thermal: float             # Bose occupation at omega_d / 2
-
-    @property
-    def n(self) -> int:
-        return len(self.intensities)
 
     def g2(self, i: int, j: int) -> float:
         return float(self.g2_matrix[i, j])
@@ -65,26 +61,25 @@ def pair_amplitude(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarr
     return c.T @ np.diag(modes.eps) @ c
 
 
+def _normalized(g1: np.ndarray, g2_raw: np.ndarray, n_thermal: float) -> CorrelationSet:
+    """g2_ij = G2_ij / sqrt(G1_i G1_j), the same normalization at every T."""
+    if np.any(g1 == 0.0):
+        raise ZeroIntensity(
+            "some waveguide emits no photons; normalized g2 is undefined"
+        )
+    return CorrelationSet(
+        intensities=g1,
+        g2_matrix=g2_raw / np.sqrt(np.outer(g1, g1)),
+        n_thermal=n_thermal,
+    )
+
+
 def g2_zero_temperature(
     modes: ModeResponse, spectrum: LaplacianSpectrum
 ) -> CorrelationSet:
     """Leading-order vacuum-input correlations, g2_ij = M_ij^2 / sqrt(N_i N_j)."""
     n_i = intensities(modes, spectrum)
-    if np.any(n_i == 0.0):
-        raise ZeroIntensity(
-            "some waveguide emits no photons; normalized g2 is undefined"
-        )
-    m = pair_amplitude(modes, spectrum)
-    g2_raw = m**2
-    norm = np.sqrt(np.outer(n_i, n_i))
-    return CorrelationSet(
-        intensities=n_i,
-        pair_amplitude=m,
-        g2_matrix=g2_raw / norm,
-        g2_raw=g2_raw,
-        temperature=0.0,
-        n_thermal=0.0,
-    )
+    return _normalized(n_i, pair_amplitude(modes, spectrum) ** 2, 0.0)
 
 
 def g2_thermal(
@@ -104,19 +99,7 @@ def g2_thermal(
         + np.abs(state.number) ** 2
         + np.abs(state.anomalous) ** 2
     )
-    if np.any(g1 == 0.0):
-        raise ZeroIntensity(
-            "some waveguide emits no photons; normalized g2 is undefined"
-        )
-    norm = np.sqrt(np.outer(g1, g1))
-    return CorrelationSet(
-        intensities=g1,
-        pair_amplitude=pair_amplitude(modes, spectrum),
-        g2_matrix=g2_raw / norm,
-        g2_raw=g2_raw,
-        temperature=temperature,
-        n_thermal=thermal_occupation(modes.omega_d / 2.0, temperature),
-    )
+    return _normalized(g1, g2_raw, thermal_occupation(modes.omega_d / 2.0, temperature))
 
 
 def cauchy_schwarz_violation(corr: CorrelationSet, i: int, j: int) -> float:

@@ -44,7 +44,7 @@ class DriveParams:
     a0: float        # J
     da0: float       # J
     phi: float       # rad
-    theta: float     # rad
+    theta: float     # rad; an array of angles gives a grid (mode_response)
     omega_d: float   # rad/s
 
     def __post_init__(self):
@@ -89,22 +89,22 @@ class LineParams:
 class ModeResponse:
     """Per-mode static energies, modulations and pair amplitudes."""
 
-    lambda0: np.ndarray   # J
-    dlambda: np.ndarray   # J
-    delta_l: np.ndarray   # m
+    lambda0: np.ndarray   # J, shape (N,): independent of theta
+    dlambda: np.ndarray   # J, shape (N,) for one angle, (K, N) for K angles
+    delta_l: np.ndarray   # m, shaped as dlambda
     eps: np.ndarray       # dimensionless, (omega_d / 2v) * delta_l
     omega_d: float        # rad/s
     v: float              # m/s
 
     @property
     def n(self) -> int:
-        return len(self.eps)
+        return self.eps.shape[-1]
 
 
 def mode_response(
     drive: DriveParams, line: LineParams, spectrum: LaplacianSpectrum
 ) -> ModeResponse:
-    """Parametric response of every normal mode to the flux drive."""
+    """Response of every normal mode to the drive; drive.theta may be a (K,) array."""
     lam = spectrum.lambdas
     lambda0 = drive.a0 * (math.sin(drive.phi) + lam * math.cos(drive.phi))
     if np.any(lambda0 <= 0):
@@ -113,7 +113,8 @@ def mode_response(
             f"mode {bad} has Lambda0 = {lambda0[bad]:.3g} J <= 0; "
             "unphysical static working point"
         )
-    dlambda = drive.da0 * (math.sin(drive.theta) + lam * math.cos(drive.theta))
+    theta = np.asarray(drive.theta, dtype=float)[..., None]  # (K, 1) or (1,)
+    dlambda = drive.da0 * (np.sin(theta) + lam * np.cos(theta))
     delta_l = (line.flux_quantum / (2.0 * math.pi)) ** 2 * dlambda / (
         line.l0 * lambda0**2
     )
@@ -154,19 +155,17 @@ def calibrate_da0_over_grid(
 
     Mirrors the figure convention of choosing amplitudes once per sweep so
     that max_i <a_i^dag a_i> never exceeds the target at T=0.  Intensities
-    scale exactly as da0^2, so one evaluation per grid point fixes the scale.
-    Lambda0 does not depend on theta, so a working point with a non-positive
-    mode energy fails at every grid point and raises NonPositiveModeEnergy.
+    scale exactly as da0^2, so one evaluation of the whole grid fixes the
+    scale.  Lambda0 does not depend on theta, so a working point with a
+    non-positive mode energy fails at every grid point and raises
+    NonPositiveModeEnergy.
     """
     if not 0.0 < target_max_occupancy < 1.0:
         raise ValueError("target occupancy must lie in (0, 1)")
     if drive.da0 <= 0:
         raise ValueError("need a positive da0 seed")
-    weights = spectrum.modes**2  # weights[n, i] = (c_n^i)^2
-    peak = 0.0
-    for theta in np.atleast_1d(thetas):
-        resp = mode_response(replace(drive, theta=float(theta)), line, spectrum)
-        peak = max(peak, float(np.max(weights.T @ resp.eps**2)))
+    eps = mode_response(replace(drive, theta=thetas), line, spectrum).eps  # (K, N)
+    peak = float(np.max(eps**2 @ spectrum.modes**2))  # max over theta and guide
     if peak == 0.0:
         raise NoResponse("no grid point produces a nonzero response")
     return replace(drive, da0=drive.da0 * math.sqrt(target_max_occupancy / peak))

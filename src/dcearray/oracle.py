@@ -175,15 +175,16 @@ def normal_moments(state: OracleState, totals=(2, 4)) -> dict:
     creation and one annihilation count per waveguide and the value is
     <prod_i a_i^dag^d_i prod_i a_i^k_i>.  One pass shares the operator
     products between all words, which is much cheaper than calling
-    :func:`moment` word by word.
+    :func:`moment` word by word.  Each dense product B_low rho is consumed
+    against every creation product before the next one is formed, so only
+    one dim x dim product is held at a time.
     """
-    max_total = max(totals)
-    products = _lowering_products(state, max_total)
-    weighted = {k: op @ state.rho for k, op in products.items()}
+    products = _lowering_products(state, max(totals))
+    conj = {k: op.conj() for k, op in products.items()}
     out = {}
-    for dag, b_dag in products.items():
-        b_dag_conj = b_dag.conj()
-        for low, c_low in weighted.items():
+    for low, b_low in products.items():
+        c_low = b_low @ state.rho
+        for dag, b_dag_conj in conj.items():
             if sum(dag) + sum(low) in totals:
                 # Tr[rho B_dag^H B_low] = sum_ij (B_low rho)_ij conj(B_dag)_ij
                 out[(dag, low)] = complex(b_dag_conj.multiply(c_low).sum())

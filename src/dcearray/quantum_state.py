@@ -243,16 +243,14 @@ def density_matrix(
     if post_select:
         rho[0, :] = 0.0
         rho[:, 0] = 0.0
-        norm = np.trace(rho).real
-        if norm <= 0.0:
-            raise ZeroIntensity("no photons emitted; nothing to post-select")
-        rho = rho / norm
-    else:
-        norm = np.trace(rho).real
-        if norm <= 0.0:
-            raise ZeroIntensity("state has no weight in the qutrit block")
-        rho = rho / norm
-    return TruncatedDensityMatrix(rho=rho, post_selected=post_select)
+    norm = np.trace(rho).real
+    if norm <= 0.0:
+        raise ZeroIntensity(
+            "no photons emitted; nothing to post-select"
+            if post_select
+            else "state has no weight in the qutrit block"
+        )
+    return TruncatedDensityMatrix(rho=rho / norm, post_selected=post_select)
 
 
 def perturbative_pure_state(modes: ModeResponse, spectrum: LaplacianSpectrum):

@@ -39,11 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Grids and environment for broadband sweeps."""
+    """Frequency and delay grids for broadband sweeps."""
 
     omega_d: float
     line: LineParams
-    temperature: float = 0.0
     resolution: int = 2048
     tau_grid: np.ndarray = field(
         default_factory=lambda: np.linspace(0.0, 30.0, 512)

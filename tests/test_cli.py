@@ -43,14 +43,22 @@ def test_theta_point_and_sweep_are_exclusive():
         parse_config(MINIMAL + "theta_rad = 0.3\ntheta_steps = 5\n")
 
 
-def test_bad_observable_token():
-    with pytest.raises(RangeError):
-        parse_config(MINIMAL + "observables = g2_11\n")
+@pytest.mark.parametrize(
+    "token",
+    ["g2_11", "n_1_2", "g2_1", "cs_violation_1", "entropy_1", "n_", "G2_1_1",
+     "f_noon_1"],
+)
+def test_bad_observable_token(token, capsys):
+    with pytest.raises(RangeError, match="unrecognized observable token"):
+        parse_config(MINIMAL + f"observables = {token}\n")
+    assert main(["sweep", "--target-occupancy", "0.1", "--observables", token]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
-def test_observable_index_range():
-    with pytest.raises(RangeError):
-        parse_config(MINIMAL + "observables = n_3\n")
+@pytest.mark.parametrize("token", ["n_3", "g2_1_3", "cs_violation_0_1"])
+def test_observable_index_range(token):
+    with pytest.raises(RangeError, match="indexes outside 1..2"):
+        parse_config(MINIMAL + f"observables = {token}\n")
 
 
 def test_f_eq10_is_not_read_as_an_index():
@@ -121,6 +129,34 @@ def test_cli_exit_code_on_partial_failure(tmp_path):
     )
     assert rc == 2
     assert "# status: partial" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "observables, message",
+    [
+        ("entropy,n_1", "no pair amplitude; nothing to post-select"),
+        ("n_1,entropy", "some waveguide emits no photons"),
+    ],
+)
+def test_first_token_decides_the_error_cell(observables, message, tmp_path):
+    # both states fail at da0 = 0; the one the first token reads is built first
+    out = tmp_path / "partial.csv"
+    args = ["sweep", "--da0-joule", "0", "--theta-steps", "2",
+            "--observables", observables, "--out", str(out)]
+    assert main(args) == 2
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 2
+    assert all(message in row for row in rows)
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / ("a" * 300 + ".csv")  # longer than any file name may be
+    args = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "3",
+            "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write out=")
+    assert "Traceback" not in err
 
 
 def test_cli_config_file_with_overrides(tmp_path):

@@ -160,6 +160,29 @@ def test_grid_calibration_bounds_every_point():
     assert max(peaks) == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "topology",
+    [ArrayTopology.open_chain(2), ArrayTopology.ring(31), ArrayTopology.ring(64)],
+    ids=["n2", "ring31", "ring64"],
+)
+def test_theta_array_equals_per_angle_calls(topology):
+    spec = eigendecompose(build_laplacian(topology))
+    thetas = np.linspace(0.0, math.pi, 997)
+    d = drive(math.pi / 4.0, 0.0)
+    grid = mode_response(
+        DriveParams(d.a0, d.da0, d.phi, thetas, d.omega_d), LINE, spec
+    )
+    assert grid.eps.shape == (len(thetas), topology.n)
+    points = [
+        mode_response(DriveParams(d.a0, d.da0, d.phi, float(t), d.omega_d), LINE, spec)
+        for t in thetas
+    ]
+    for field in ("dlambda", "delta_l", "eps"):
+        # each row is the one-angle call, to the last bit
+        rows = np.array([getattr(point, field) for point in points])
+        assert np.array_equal(getattr(grid, field), rows)
+
+
 def test_flux_to_energy_special_points():
     assert flux_to_energy(0.0, 2.0) == 2.0
     assert flux_to_energy(FLUX_QUANTUM / 2.0, 2.0) == pytest.approx(0.0, abs=1e-15)
