@@ -25,7 +25,14 @@ from .correlations import (
     g2_zero_temperature,
 )
 from .drive import DriveParams, LineParams, calibrate_da0_over_grid, mode_response
-from .errors import ConfigError, DceArrayError, MissingRequired, RangeError, UnknownKey
+from .errors import (
+    ConfigError,
+    DceArrayError,
+    MissingRequired,
+    RangeError,
+    UnknownKey,
+    with_errors,
+)
 from .lattice import ArrayTopology, build_laplacian, eigendecompose
 from .quantum_state import (
     density_matrix,
@@ -82,10 +89,11 @@ def _qutrit_state(modes, spectrum, temperature):
 
 # The observable grammar: a token is a name and one ``_<guide>`` (1-based) per
 # index.  Name -> (index count, state it reads, value from state and 0-based
-# indices).  The values call the library through this module's names, so a
-# wrapper bound over one of them (as the bench tracer does) sees each call.
+# indices).  States and values cover a batch of points at once.  The values
+# call the library through this module's names, so a wrapper bound over one
+# of them (as the bench tracer does) sees each call.
 _OBSERVABLES = {
-    "n": (1, _correlations, lambda corr, i: float(corr.intensities[i])),
+    "n": (1, _correlations, lambda corr, i: corr.intensities[..., i]),
     "g2": (2, _correlations, lambda corr, i, j: corr.g2(i, j)),
     "cs_violation": (
         2, _correlations, lambda corr, i, j: cauchy_schwarz_violation(corr, i, j)
@@ -310,65 +318,79 @@ def _prepare(config: RunConfig) -> tuple:
     return spectrum, drive
 
 
-def _modes(config: RunConfig, spectrum, drive, theta: float):
+def _modes(config: RunConfig, spectrum, drive, theta):
+    """Drive response at one angle, or at every angle of a theta array."""
     return mode_response(replace(drive, theta=theta), config.line, spectrum)
 
 
 def _point_values(specs, modes, spectrum, temperature):
-    """Values of the parsed tokens ``specs`` at one point, and its qutrit state.
+    """Value columns of the parsed tokens ``specs`` over a batch, and its qutrit state.
 
-    A state is built when a token first reads it: the first to fail names the error.
+    A state is built when a token first reads it.  A failed point holds its
+    error in a cell, and the state's error comes before the value's, so in
+    token order the first error cell is the error a point evaluation raises.
     """
     states = {}
-    values = []
+    columns = []
     for state, value, indices in specs:
         if state not in states:
             states[state] = state(modes, spectrum, temperature)
-        values.append(value(states[state], *indices))
-    return values, states.get(_qutrit_state)
+        column = value(states[state], *indices)
+        columns.append(with_errors(column, states[state].errors).tolist())
+    return columns, states.get(_qutrit_state)
 
 
-def _tabulate(lead_columns, value_columns, points, evaluate) -> tuple:
+def _first_error(values):
+    return next((v for v in values if isinstance(v, DceArrayError)), None)
+
+
+def _tabulate(lead_columns, value_columns, rows) -> tuple:
     """CSV lines of a grid: header, one row per point, status line.
 
-    ``points`` pairs the leading cells of each row with the arguments of
-    ``evaluate``, which returns the row's values.  A point that raises a
-    DceArrayError leaves its value cells empty and carries the error message
-    in the trailing error column.  Returns (lines, n_failures).
+    ``rows`` pairs the leading cells of each row with its values.  A value
+    that is a DceArrayError fails the point: its value cells stay empty and
+    the first error's message goes to the trailing error column.  Returns
+    (lines, n_failures).
     """
     lines = ["# " + ",".join([*lead_columns, *value_columns, "error"])]
+    values_ok = ",".join(["%.17g"] * len(value_columns)) + ","  # as _fmt
+    values_failed = "," * len(value_columns)
     failures = 0
-    for lead, args in points:
-        try:
-            cells = [_fmt(v) for v in evaluate(*args)] + [""]
-        except DceArrayError as exc:
-            cells = [""] * len(value_columns) + [f"{type(exc).__name__}: {exc}"]
+    for lead, values in rows:
+        error = _first_error(values)
+        if error is None:
+            cells = values_ok % tuple(values)
+        else:
+            cells = f"{values_failed}{type(error).__name__}: {error}"
             failures += 1
-        lines.append(",".join(lead + cells))
-    status = f"partial ({failures} of {len(points)} points failed)"
+        lines.append(",".join(lead) + "," + cells)
+    status = f"partial ({failures} of {len(lines) - 1} points failed)"
     lines.append(f"# status: {status if failures else 'ok'}")
     return lines, failures
 
 
 def _sweep(config: RunConfig, spectrum, drive) -> tuple:
-    """run_sweep's lines and failures, and the qutrit state of each point."""
+    """run_sweep's lines and failures, and the qutrit state of the first point.
+
+    The grid runs one batch over the theta array per temperature; the state
+    is None when the first point failed or no token reads it.
+    """
     specs = [_observable(token) for token in config.observables]
-    states = {}
-
-    def evaluate(theta, temp):
-        modes = _modes(config, spectrum, drive, theta)
-        values, states[theta, temp] = _point_values(specs, modes, spectrum, temp)
-        return values
-
-    points = [
-        ([_fmt(theta), _fmt(config.phi), _fmt(temp * 1e3)], (theta, temp))
-        for temp in config.temperatures
-        for theta in map(float, config.thetas)
-    ]
+    modes = _modes(config, spectrum, drive, config.thetas)
+    thetas = [_fmt(theta) for theta in config.thetas.tolist()]
+    phi = _fmt(config.phi)
+    rows = []
+    first = None
+    for temp in config.temperatures:
+        columns, tdm = _point_values(specs, modes, spectrum, temp)
+        lead = [[theta, phi, _fmt(temp * 1e3)] for theta in thetas]
+        if not rows and tdm is not None and _first_error(next(zip(*columns))) is None:
+            first = tdm.rho[0]
+        rows.extend(zip(lead, zip(*columns)))
     lines, failures = _tabulate(
-        ("theta", "phi", "temperature_mk"), config.observables, points, evaluate
+        ("theta", "phi", "temperature_mk"), config.observables, rows
     )
-    return lines, failures, states
+    return lines, failures, first
 
 
 def run_sweep(config: RunConfig) -> tuple:
@@ -388,11 +410,14 @@ def _run_spectrum(config: RunConfig) -> tuple:
     modes = _modes(config, spectrum, drive, float(config.thetas[0]))
     spec_cfg = SpectralConfig(omega_d=config.omega_d, line=config.line)
     omegas = spec_cfg.omega_grid()
+    cells = [_fmt(w) for w in omegas.tolist()]
     lines = ["# omega_rad_s,temperature_mk,flux_1"]
     for temp in config.temperatures:
-        for w in omegas:
-            flux = photon_flux_density(0, float(w), modes, spectrum, temp)
-            lines.append(",".join([_fmt(float(w)), _fmt(temp * 1e3), _fmt(flux)]))
+        flux = photon_flux_density(0, omegas, modes, spectrum, temp)
+        temp_cell = _fmt(temp * 1e3)
+        lines.extend(
+            "%s,%s,%.17g" % (w, temp_cell, f) for w, f in zip(cells, flux.tolist())
+        )
     lines.append("# status: ok")
     return lines, 0
 
@@ -415,16 +440,18 @@ def _run_time_delay(config: RunConfig) -> tuple:
 def _run_broadband(config: RunConfig) -> tuple:
     """Normalized zero-delay broadband correlations over the theta grid."""
     spectrum, drive = _prepare(config)
-
-    def evaluate(theta):
+    rows = []
+    for theta in config.thetas.tolist():
         modes = _modes(config, spectrum, drive, theta)
-        return [
-            g2_broadband_normalized(0, j, modes, spectrum, config.line)
-            for j in (0, 1)
-        ]
-
-    points = [([_fmt(theta)], (theta,)) for theta in map(float, config.thetas)]
-    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), points, evaluate)
+        try:
+            values = [
+                g2_broadband_normalized(0, j, modes, spectrum, config.line)
+                for j in (0, 1)
+            ]
+        except DceArrayError as exc:
+            values = [exc]
+        rows.append(([_fmt(theta)], values))
+    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), rows)
 
 
 def _run_entangle(config: RunConfig) -> tuple:
@@ -432,12 +459,12 @@ def _run_entangle(config: RunConfig) -> tuple:
 
     The dump reuses the state of the first row; a failed point has none.
     """
-    lines, failures, states = _sweep(config, *_prepare(config))
-    tdm = states.get((float(config.thetas[0]), config.temperatures[0]))
-    if config.single_theta and tdm is not None:
+    lines, failures, rho = _sweep(config, *_prepare(config))
+    if config.single_theta and rho is not None:
         lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
         lines.extend(
-            ",".join(_fmt(x) for z in row for x in (z.real, z.imag)) for row in tdm.rho
+            ",".join(_fmt(x) for z in row for x in (z.real, z.imag))
+            for row in rho.tolist()
         )
     return lines, failures
 

@@ -11,21 +11,25 @@ normalized by the first power of the intensities, which keeps g2 in [0, 1]
 for states with at most one photon pair.  The finite-temperature variant
 factorizes the exact Gaussian output state (see quantum_state) and is
 normalized the same way with the thermal G1 in place of N.  Both return a
-CorrelationSet holding only what callers read: the intensities, the
-normalized g2 matrix and the thermal occupation; M_ij itself comes from
-pair_amplitude.
+CorrelationSet that keeps the per-mode weights and forms each g2 entry on
+demand, in O(N) per point; M_ij itself comes from pair_amplitude.
+
+Every function takes a drive at one point or at a batch of K points (eps of
+shape (K, N)); the values then gain a leading axis of length K.  A point
+raises its error; a batch lists the errors of its failed points by index
+in ``errors`` (see :mod:`dcearray.errors`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .drive import ModeResponse
-from .errors import AsymmetricModes, ZeroIntensity
+from .errors import AsymmetricModes, ZeroIntensity, point_errors, with_errors
 from .lattice import LaplacianSpectrum
-from .quantum_state import output_gaussian, thermal_occupation
+from .quantum_state import _mode_moments, _pair_sum, thermal_occupation
 
 __all__ = [
     "CorrelationSet",
@@ -39,47 +43,68 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """Intensities and normalized second-order correlations of all guide pairs."""
+    """Intensities and normalized second-order correlations of all guide pairs.
+
+    G2_ij = M_ij^2 at T = 0 and G1_i G1_j + N_ij^2 + |M_ij|^2 at T > 0, with
+    M_ij and N_ij the pair sums of the per-mode weights ``pair`` and
+    ``number``.  In a batch, ``errors`` maps each failed point to its error;
+    the values of a failed point are meaningless.
+    """
 
     intensities: np.ndarray      # N_i (thermal G1_i when temperature > 0)
-    g2_matrix: np.ndarray        # g2_ij = G2_ij / sqrt(N_i N_j)
     n_thermal: float             # Bose occupation at omega_d / 2
+    modes: np.ndarray            # c[n, i] of the spectrum
+    pair: np.ndarray             # eps_n at T = 0, Im(u_n v_n) (1 + 2 N_T) at T > 0
+    number: np.ndarray | None    # per-mode occupation at T > 0; None at T = 0
+    errors: dict = field(default_factory=dict)
 
-    def g2(self, i: int, j: int) -> float:
-        return float(self.g2_matrix[i, j])
+    def _g2(self, rows, cols) -> np.ndarray:
+        """g2_ij = G2_ij / sqrt(G1_i G1_j) for i in rows and j in cols."""
+        g1 = self.intensities
+        norm = g1[..., rows, None] * g1[..., None, cols]
+        g2 = _pair_sum(self.pair, self.modes, rows, cols) ** 2
+        if self.number is not None:
+            g2 = g2 + norm + _pair_sum(self.number, self.modes, rows, cols) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):  # failed points
+            return g2 / np.sqrt(norm)
+
+    def g2(self, i: int, j: int):
+        """g2_ij at the point, or at every point of a batch."""
+        return self._g2([i], [j])[..., 0, 0]
+
+    @property
+    def g2_matrix(self) -> np.ndarray:
+        """g2 of every guide pair, (..., N, N)."""
+        guides = np.arange(self.intensities.shape[-1])
+        return self._g2(guides, guides)
 
 
 def intensities(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarray:
     """Mean photon number per band emitted from each waveguide at T=0."""
-    weights = spectrum.modes**2  # weights[n, i]
-    return weights.T @ modes.eps**2
+    return modes.eps**2 @ spectrum.modes**2
 
 
 def pair_amplitude(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarray:
     """Real symmetric pair-correlator matrix M_ij = sum_n c_n^i c_n^j eps_n."""
-    c = spectrum.modes
-    return c.T @ np.diag(modes.eps) @ c
+    return _pair_sum(modes.eps, spectrum.modes)
 
 
-def _normalized(g1: np.ndarray, g2_raw: np.ndarray, n_thermal: float) -> CorrelationSet:
-    """g2_ij = G2_ij / sqrt(G1_i G1_j), the same normalization at every T."""
-    if np.any(g1 == 0.0):
-        raise ZeroIntensity(
+def _normalized(g1, n_thermal, spectrum, pair, number=None) -> CorrelationSet:
+    """The CorrelationSet of intensities g1; g2 is undefined where one vanishes."""
+    errors = point_errors(
+        np.any(g1 == 0.0, axis=-1),
+        lambda k: ZeroIntensity(
             "some waveguide emits no photons; normalized g2 is undefined"
-        )
-    return CorrelationSet(
-        intensities=g1,
-        g2_matrix=g2_raw / np.sqrt(np.outer(g1, g1)),
-        n_thermal=n_thermal,
+        ),
     )
+    return CorrelationSet(g1, n_thermal, spectrum.modes, pair, number, errors)
 
 
 def g2_zero_temperature(
     modes: ModeResponse, spectrum: LaplacianSpectrum
 ) -> CorrelationSet:
     """Leading-order vacuum-input correlations, g2_ij = M_ij^2 / sqrt(N_i N_j)."""
-    n_i = intensities(modes, spectrum)
-    return _normalized(n_i, pair_amplitude(modes, spectrum) ** 2, 0.0)
+    return _normalized(intensities(modes, spectrum), 0.0, spectrum, modes.eps)
 
 
 def g2_thermal(
@@ -91,28 +116,31 @@ def g2_thermal(
     second moments of the output state; reduces to the vacuum result plus
     the O(eps^4) Gaussian corrections at T=0.  Normalized by the first
     power of the thermal intensities, g2_ij = G2_ij / sqrt(G1_i G1_j).
+    The moments are the pair sums of the per-mode weights of
+    :func:`~dcearray.quantum_state.output_gaussian`; the pair weights
+    u_n v_n (1 + 2 N_T) are imaginary, so |<a_i a_j>| is the pair sum of
+    their imaginary parts.
     """
-    state = output_gaussian(modes, spectrum, temperature)
-    g1 = np.real(np.diag(state.number)).copy()
-    g2_raw = (
-        np.outer(g1, g1)
-        + np.abs(state.number) ** 2
-        + np.abs(state.anomalous) ** 2
-    )
-    return _normalized(g1, g2_raw, thermal_occupation(modes.omega_d / 2.0, temperature))
+    n_t = thermal_occupation(modes.omega_d / 2.0, temperature)
+    occ, pair = _mode_moments(modes.eps, n_t)
+    g1 = occ @ spectrum.modes**2
+    return _normalized(g1, n_t, spectrum, pair.imag, occ)
 
 
-def cauchy_schwarz_violation(corr: CorrelationSet, i: int, j: int) -> float:
+def cauchy_schwarz_violation(corr: CorrelationSet, i: int, j: int):
     """Signed violation g2_ij - g2_ii of the classical Cauchy-Schwarz bound.
 
     Defined for symmetric mode pairs only (equal intensities); a positive
-    value certifies nonclassical inter-waveguide correlations.
+    value certifies nonclassical inter-waveguide correlations.  Over a
+    batch, an asymmetric point holds its AsymmetricModes error in its cell.
     """
-    n_i, n_j = corr.intensities[i], corr.intensities[j]
-    scale = max(abs(n_i), abs(n_j))
-    if scale > 0 and abs(n_i - n_j) > 1e-9 * scale:
-        raise AsymmetricModes(
-            f"intensities N_{i}={n_i:.6g} and N_{j}={n_j:.6g} differ beyond "
+    n_i, n_j = corr.intensities[..., i], corr.intensities[..., j]
+    scale = np.maximum(abs(n_i), abs(n_j))
+    errors = point_errors(
+        (scale > 0) & (abs(n_i - n_j) > 1e-9 * scale),
+        lambda k: AsymmetricModes(
+            f"intensities N_{i}={n_i[k]:.6g} and N_{j}={n_j[k]:.6g} differ beyond "
             "1e-9 relative; the symmetric-pair inequality does not apply"
-        )
-    return float(corr.g2_matrix[i, j] - corr.g2_matrix[i, i])
+        ),
+    )
+    return with_errors(corr.g2(i, j) - corr.g2(i, i), errors)

@@ -1,4 +1,6 @@
-"""Exception hierarchy for the dcearray package."""
+"""Exception hierarchy for the dcearray package, and per-point errors of batches."""
+
+import numpy as np
 
 
 class DceArrayError(Exception):
@@ -81,3 +83,35 @@ class MissingRequired(ConfigError):
 
 class RangeError(ConfigError):
     """A configuration value is outside its allowed range."""
+
+
+# -- batches of points -----------------------------------------------------
+# A function evaluated at one point raises its error.  Over a batch of K
+# points (a leading axis of its inputs) one failed point must not void the
+# others, so the errors travel with the values instead.
+
+def point_errors(failed, error) -> dict:
+    """Errors of the failed points of a batch, by point index.
+
+    ``failed`` flags each of K points, or is one flag for a single point,
+    whose error is raised instead.  ``error(k)`` builds the error of point
+    k (``k = ()`` for a single point).
+    """
+    if np.ndim(failed) == 0:
+        if failed:
+            raise error(())
+        return {}
+    return {k: error(k) for k in np.flatnonzero(failed).tolist()}
+
+
+def with_errors(values, errors: dict):
+    """``values`` of a batch, each failed point holding its error in its cell.
+
+    With errors the result is an object array; without, ``values`` itself.
+    """
+    if not errors:
+        return values
+    cells = np.asarray(values).astype(object)
+    for k, exc in errors.items():
+        cells[k] = exc
+    return cells

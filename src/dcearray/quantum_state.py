@@ -15,19 +15,31 @@ matrix is the exact Gaussian Fock block.  Both come from one multidimensional
 Hermite recursion over the second moments (:func:`_hermite`): a Wick moment
 is its value for the matrix of contractions, and a Fock element its value
 for a matrix built from the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).
+
+The output state, the density matrices and the qutrit values take a drive
+at one point or at a batch of K points (eps of shape (K, N), a leading axis
+on every result).  A point raises its error; a batch lists the errors of
+its failed points by index in ``errors`` (see :mod:`dcearray.errors`).
+Wick moments are evaluated at one point.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .drive import ModeResponse
-from .errors import NotNormalized, NotNormalOrdered, ZeroIntensity
+from .errors import (
+    NotNormalized,
+    NotNormalOrdered,
+    ZeroIntensity,
+    point_errors,
+    with_errors,
+)
 from .lattice import LaplacianSpectrum
 
 __all__ = [
@@ -47,49 +59,69 @@ __all__ = [
 QUTRIT_LEVELS = 3  # each waveguide holds 0, 1 or 2 photons
 
 
-def thermal_occupation(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupation of a mode at angular frequency omega."""
+def thermal_occupation(omega, temperature: float):
+    """Bose-Einstein occupation at angular frequency omega, a float or an array.
+
+    Zero at T = 0, at omega <= 0 and where hbar omega / k_B T exceeds 700.
+    """
     from .constants import HBAR, K_B
 
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    if temperature == 0.0 or omega <= 0.0:
-        return 0.0
-    x = HBAR * omega / (K_B * temperature)
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    omega = np.asarray(omega, dtype=float)
+    occ = np.zeros_like(omega)
+    if temperature > 0.0:
+        x = HBAR * omega / (K_B * temperature)
+        live = (omega > 0.0) & (x <= 700.0)
+        occ[live] = 1.0 / np.expm1(x[live])
+    return occ if occ.ndim else float(occ)
+
+
+def _pair_sum(weights, c, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """sum_n c_n^i c_n^j w_n for guides i in ``rows`` and j in ``cols``.
+
+    ``weights`` holds w_n on its last axis, for one point or a batch; the
+    result is (..., rows, cols).  Every pair matrix of the mode basis (the
+    output moments, the pair amplitudes, g2) is such a sum; a column for
+    one pair costs O(N) per point, the full matrix O(N^3).
+    """
+    return np.einsum("...n,ni,nj->...ij", weights, c[:, rows], c[:, cols])
+
+
+def _mode_moments(eps, n_thermal: float) -> tuple:
+    """Occupation and pair amplitude of each output normal mode.
+
+    N_T + |v_n|^2 (1 + 2 N_T) and u_n v_n (1 + 2 N_T), u_n = sqrt(1 + eps_n^2),
+    v_n = -i eps_n.
+    """
+    u = np.sqrt(1.0 + eps**2)
+    v = -1j * eps
+    occ = n_thermal + np.abs(v) ** 2 * (1.0 + 2.0 * n_thermal)
+    return occ, u * v * (1.0 + 2.0 * n_thermal)
 
 
 @dataclass(frozen=True)
 class GaussianOutputState:
     """Normal and anomalous second moments of the output waveguide modes."""
 
-    number: np.ndarray      # <a_i^dag a_j>, Hermitian
+    number: np.ndarray      # <a_i^dag a_j>, Hermitian; (..., N, N)
     anomalous: np.ndarray   # <a_i a_j>, symmetric
     temperature: float      # K
 
     @property
     def n_modes(self) -> int:
-        return self.number.shape[0]
+        return self.number.shape[-1]
 
 
 def output_gaussian(
     modes: ModeResponse, spectrum: LaplacianSpectrum, temperature: float = 0.0
 ) -> GaussianOutputState:
     """Exact Gaussian description of the emitted field at the band centre."""
-    c = spectrum.modes  # c[n, i]
-    eps = modes.eps
     n_t = thermal_occupation(modes.omega_d / 2.0, temperature)
-    u = np.sqrt(1.0 + eps**2)
-    v = -1j * eps
-    occ = n_t + np.abs(v) ** 2 * (1.0 + 2.0 * n_t)
-    pair = u * v * (1.0 + 2.0 * n_t)
-    number = c.T @ np.diag(occ) @ c
-    anomalous = c.T @ np.diag(pair) @ c
+    occ, pair = _mode_moments(modes.eps, n_t)
     return GaussianOutputState(
-        number=number.astype(complex),
-        anomalous=anomalous.astype(complex),
+        number=_pair_sum(occ, spectrum.modes).astype(complex),
+        anomalous=_pair_sum(pair, spectrum.modes),
         temperature=temperature,
     )
 
@@ -102,30 +134,44 @@ def _hermite(b: list, top: tuple) -> dict:
     the perfect matchings of a word with k_i copies of operator i, weighting
     each pair (i, j) by the symmetric b_ij: the Wick moments and, scaled by
     1/sqrt(k!), the Gaussian Fock elements.  ``b`` is nested lists and the
-    table a dict, because numpy containers are slower at these sizes.
+    table a dict, because numpy containers are slower at these sizes.  The
+    entries of ``b`` are scalars, or (K,) arrays that run K tables at once.
     """
+    zero = 0.0j * b[0][0] if b else 0.0j  # shaped as the entries
     h = {}
     # lexicographic order visits every k - e_i - e_j before k
     for k in product(*(range(t + 1) for t in top)):
         if sum(k) % 2:  # the recursion keeps parity: odd orders vanish
-            h[k] = 0.0j
+            h[k] = zero
             continue
         for i, count in enumerate(k):
             if count:
                 break
         else:
-            h[k] = 1.0 + 0.0j
+            h[k] = zero + 1.0
             continue
         prev = list(k)
         prev[i] -= 1
-        value = 0.0j
+        value = zero
         for j, count in enumerate(prev):
             if count:
                 prev[j] -= 1
-                value += count * b[i][j] * h[tuple(prev)]
+                value = value + count * b[i][j] * h[tuple(prev)]
                 prev[j] += 1
         h[k] = value
     return h
+
+
+def _entries(a: np.ndarray) -> list:
+    """Nested lists of the entries of a matrix, or of a stack of K matrices.
+
+    One matrix (a stack of one included) gives Python scalars, several give
+    (K,) arrays: a (1,) array costs _hermite about four times a scalar.
+    """
+    m = a.shape[-1]
+    if a.size == m * m:
+        return a.reshape(m, m).tolist()
+    return [list(row) for row in np.moveaxis(a, 0, -1)]
 
 
 def wick_moment(state: GaussianOutputState, word) -> complex:
@@ -169,13 +215,15 @@ def wick_moment(state: GaussianOutputState, word) -> complex:
 class TruncatedDensityMatrix:
     """Two-qutrit density matrix over |n1 n2>, n in {0,1,2}.
 
-    ``rho[3*n+m, 3*n'+m']`` = <n m| rho |n' m'>.  ``post_selected`` means
-    the vacuum |00> was projected out and the rest renormalized; every other
-    element of the block, the double pair |22> included, is kept.
+    ``rho[..., 3*n+m, 3*n'+m']`` = <n m| rho |n' m'>.  ``post_selected``
+    means the vacuum |00> was projected out and the rest renormalized; every
+    other element of the block, the double pair |22> included, is kept.  In
+    a batch, ``errors`` maps each failed point to its error; its rho is zero.
     """
 
     rho: np.ndarray
     post_selected: bool
+    errors: dict = field(default_factory=dict)
 
 
 def _fock_block(state: GaussianOutputState) -> np.ndarray:
@@ -186,25 +234,28 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     rho[k_bra, k_ket] = det(Q)^(-1/2) H_A(k) / sqrt(k!), where k joins the two
     photon-number tuples and H_A is the Hermite table of :func:`_hermite`
     (Miatto & Quesada, Quantum 4, 366 (2020)).  Every guide runs over
-    0..QUTRIT_LEVELS-1; the block is not renormalized.
+    0..QUTRIT_LEVELS-1; the block is not renormalized.  A batch of states
+    runs one recursion over stacked Q.
     """
     n = state.n_modes
     eye = np.eye(n)
     q = np.block(
         [
-            [state.number.T + eye, state.anomalous],
+            [np.swapaxes(state.number, -1, -2) + eye, state.anomalous],
             [np.conj(state.anomalous), state.number + eye],
         ]
     )
     swap = np.roll(np.eye(2 * n), n, axis=0)
     a = swap @ np.conj(np.eye(2 * n) - np.linalg.inv(q))
-    h = _hermite(a.tolist(), (QUTRIT_LEVELS - 1,) * (2 * n))
+    h = _hermite(_entries(a), (QUTRIT_LEVELS - 1,) * (2 * n))
     g = [
         value / math.sqrt(math.prod(math.factorial(count) for count in k))
         for k, value in h.items()
     ]
     dim = QUTRIT_LEVELS**n
-    return np.array(g).reshape(dim, dim) / math.sqrt(np.linalg.det(q).real)
+    rho = np.moveaxis(np.array(g).reshape(dim * dim, -1), -1, 0)
+    rho = rho.reshape(q.shape[:-2] + (dim, dim))
+    return rho / np.sqrt(np.linalg.det(q).real)[..., None, None]
 
 
 def density_matrix(
@@ -219,6 +270,8 @@ def density_matrix(
     Hermite recursion of :func:`_fock_block`; the block is renormalized to
     unit trace.  ``max_degree`` and ``remainder_tol`` are accepted for
     compatibility and ignored: nothing is truncated but the qutrit block.
+    A batch of states (moments of shape (K, 2, 2)) runs one recursion, and
+    warns once, at its largest mean photon number.
 
     ``post_select=True`` removes only the vacuum |00> and renormalizes the
     remaining eight levels, so the one-photon and three- and four-photon
@@ -230,7 +283,7 @@ def density_matrix(
     """
     if state.n_modes != 2:
         raise ValueError("density_matrix covers the two-waveguide case only")
-    mean_occ = float(np.max(np.real(np.diag(state.number))))
+    mean_occ = float(np.max(np.real(np.diagonal(state.number, 0, -2, -1))))
     if mean_occ > 0.5:
         warnings.warn(
             f"mean photon number {mean_occ:.3g} > 0.5; the qutrit block "
@@ -239,18 +292,19 @@ def density_matrix(
         )
 
     rho = _fock_block(state)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
     if post_select:
-        rho[0, :] = 0.0
-        rho[:, 0] = 0.0
-    norm = np.trace(rho).real
-    if norm <= 0.0:
-        raise ZeroIntensity(
-            "no photons emitted; nothing to post-select"
-            if post_select
-            else "state has no weight in the qutrit block"
-        )
-    return TruncatedDensityMatrix(rho=rho / norm, post_selected=post_select)
+        rho[..., 0, :] = 0.0
+        rho[..., :, 0] = 0.0
+    norm = np.trace(rho, 0, -2, -1).real
+    message = (
+        "no photons emitted; nothing to post-select"
+        if post_select
+        else "state has no weight in the qutrit block"
+    )
+    errors = point_errors(norm <= 0.0, lambda k: ZeroIntensity(message))
+    rho = rho / np.where(norm > 0.0, norm, 1.0)[..., None, None]
+    return TruncatedDensityMatrix(rho=rho, post_selected=post_select, errors=errors)
 
 
 def perturbative_pure_state(modes: ModeResponse, spectrum: LaplacianSpectrum):
@@ -263,19 +317,29 @@ def perturbative_pure_state(modes: ModeResponse, spectrum: LaplacianSpectrum):
     here keeps only the two-photon sector, unlike :func:`density_matrix`,
     which removes only the vacuum.
     """
-    c = spectrum.modes
-    beta = 0.5j * (c.T @ np.diag(modes.eps) @ c)
-    n = beta.shape[0]
+    beta, amps, _ = _pure_state(modes, spectrum)
+    return beta, amps
+
+
+def _pure_state(modes: ModeResponse, spectrum: LaplacianSpectrum) -> tuple:
+    """perturbative_pure_state and its per-point errors.
+
+    The amplitudes of a failed point are 0.
+    """
+    beta = 0.5j * _pair_sum(modes.eps, spectrum.modes)
+    n = beta.shape[-1]
     amps = {}
     for i in range(n):
-        amps[(i, i)] = math.sqrt(2.0) * beta[i, i]
+        amps[(i, i)] = math.sqrt(2.0) * beta[..., i, i]
         for j in range(i + 1, n):
-            amps[(i, j)] = 2.0 * beta[i, j]
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    if norm == 0.0:
-        raise ZeroIntensity("no pair amplitude; nothing to post-select")
-    amps = {k: a / norm for k, a in amps.items()}
-    return beta, amps
+            amps[(i, j)] = 2.0 * beta[..., i, j]
+    norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    errors = point_errors(
+        norm == 0.0,
+        lambda k: ZeroIntensity("no pair amplitude; nothing to post-select"),
+    )
+    norm = np.where(norm > 0.0, norm, 1.0)
+    return beta, {k: a / norm for k, a in amps.items()}, errors
 
 
 def perturbative_density_matrix(
@@ -288,46 +352,50 @@ def perturbative_density_matrix(
     """
     if spectrum.n != 2:
         raise ValueError("qutrit density matrix covers two waveguides only")
-    _, amps = perturbative_pure_state(modes, spectrum)
-    psi = np.zeros(9, dtype=complex)
-    psi[3 * 2 + 0] = amps[(0, 0)]  # |20>
-    psi[3 * 0 + 2] = amps[(1, 1)]  # |02>
-    psi[3 * 1 + 1] = amps[(0, 1)]  # |11>
-    return TruncatedDensityMatrix(rho=np.outer(psi, psi.conj()), post_selected=True)
+    _, amps, errors = _pure_state(modes, spectrum)
+    psi = np.zeros(modes.eps.shape[:-1] + (9,), dtype=complex)
+    psi[..., 3 * 2 + 0] = amps[(0, 0)]  # |20>
+    psi[..., 3 * 0 + 2] = amps[(1, 1)]  # |02>
+    psi[..., 3 * 1 + 1] = amps[(0, 1)]  # |11>
+    rho = psi[..., :, None] * psi.conj()[..., None, :]
+    return TruncatedDensityMatrix(rho=rho, post_selected=True, errors=errors)
 
 
-def von_neumann_entropy(
-    tdm: TruncatedDensityMatrix, traced_subsystem: int = 1
-) -> float:
+def von_neumann_entropy(tdm: TruncatedDensityMatrix, traced_subsystem: int = 1):
     """Base-3 von Neumann entropy of the reduced single-qutrit state.
 
     Eigenvalues are clipped at zero with tolerance 1e-12 and 0*log(0) := 0;
-    the maximally entangled two-qutrit state gives exactly 1.
+    the maximally entangled two-qutrit state gives exactly 1.  Over a batch,
+    a point whose trace is not 1 holds its NotNormalized error in its cell.
     """
     if traced_subsystem not in (0, 1):
         raise ValueError("traced_subsystem must be 0 or 1")
-    trace = np.trace(tdm.rho).real
-    if abs(trace - 1.0) > 1e-9:
-        raise NotNormalized(f"density matrix trace is {trace:.12g}, expected 1")
-    blocks = tdm.rho.reshape(3, 3, 3, 3)  # [n, m, n', m']
+    trace = np.trace(tdm.rho, 0, -2, -1).real
+    unnormalized = np.abs(trace - 1.0) > 1e-9
+    errors = point_errors(
+        unnormalized,
+        lambda k: NotNormalized(f"density matrix trace is {trace[k]:.12g}, expected 1"),
+    )
+    blocks = tdm.rho.reshape(tdm.rho.shape[:-2] + (3, 3, 3, 3))  # [n, m, n', m']
     if traced_subsystem == 1:
-        reduced = np.einsum("nkpk->np", blocks)
+        reduced = np.einsum("...nkpk->...np", blocks)
     else:
-        reduced = np.einsum("knkp->np", blocks)
+        reduced = np.einsum("...knkp->...np", blocks)
     eigs = np.linalg.eigvalsh(reduced)
-    if eigs.min() < -1e-12:
-        raise ValueError(f"reduced state has eigenvalue {eigs.min():.3g} < 0")
+    lowest = np.min(np.where(unnormalized, 0.0, eigs.min(axis=-1)))
+    if lowest < -1e-12:
+        raise ValueError(f"reduced state has eigenvalue {lowest:.3g} < 0")
     eigs = np.clip(eigs, 0.0, None)
-    entropy = -sum(p * math.log(p, 3) for p in eigs if p > 0.0)
-    return float(entropy)
+    logs = np.log(np.where(eigs > 0.0, eigs, 1.0)) / math.log(3)
+    return with_errors(-np.sum(eigs * logs, axis=-1), errors)
 
 
-def _fidelity_to(tdm: TruncatedDensityMatrix, psi: np.ndarray) -> float:
+def _fidelity_to(tdm: TruncatedDensityMatrix, psi: np.ndarray):
     overlap = np.real(psi.conj() @ tdm.rho @ psi)
-    return float(math.sqrt(max(0.0, min(1.0, overlap))))
+    return np.sqrt(np.clip(overlap, 0.0, 1.0))
 
 
-def noon_fidelity(tdm: TruncatedDensityMatrix) -> float:
+def noon_fidelity(tdm: TruncatedDensityMatrix):
     """F = sqrt(<psi|rho|psi>) against the two-photon NOON state."""
     if not tdm.post_selected:
         raise ValueError("NOON fidelity expects a post-selected state")
@@ -337,7 +405,7 @@ def noon_fidelity(tdm: TruncatedDensityMatrix) -> float:
     return _fidelity_to(tdm, psi)
 
 
-def maximally_entangled_fidelity(tdm: TruncatedDensityMatrix) -> float:
+def maximally_entangled_fidelity(tdm: TruncatedDensityMatrix):
     """Fidelity against (|11> + |20> + |02>)/sqrt(3)."""
     if not tdm.post_selected:
         raise ValueError("fidelity expects a post-selected state")

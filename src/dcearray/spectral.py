@@ -69,27 +69,28 @@ def scattering_amplitude(
 
 def photon_flux_density(
     i: int,
-    omega: float,
+    omega,
     modes: ModeResponse,
     spectrum: LaplacianSpectrum,
     temperature: float = 0.0,
-) -> float:
+):
     """Photon flux spectral density of the output field of waveguide i.
 
-    T=0: n_i(w) = sum_n (c_n^i)^2 |S_n(w, w_d - w)|^2.  At finite
-    temperature the reflected thermal background N_T(w) adds, and the
-    parametric term is stimulated by (1 + N_T(w_d - w)).
+    T=0: n_i(w) = sum_n (c_n^i)^2 |S_n(w, w_d - w)|^2
+    = w (w_d - w) sum_n (c_n^i)^2 (deltaL_n / v)^2.  At finite temperature
+    the reflected thermal background N_T(w) adds, and the parametric term
+    is stimulated by (1 + N_T(w_d - w)).  ``omega`` is a float, or an array
+    that gives the density at every frequency in it.
     """
-    weights = spectrum.modes[:, i] ** 2
-    parametric = 0.0
-    if 0.0 < omega < modes.omega_d:
-        s2 = (modes.delta_l / modes.v) ** 2 * omega * (modes.omega_d - omega)
-        parametric = float(weights @ s2)
-    if temperature == 0.0:
-        return parametric
-    background = thermal_occupation(omega, temperature)
-    stimulated = 1.0 + thermal_occupation(modes.omega_d - omega, temperature)
-    return background + parametric * stimulated
+    omega = np.asarray(omega, dtype=float)
+    weight = float(spectrum.modes[:, i] ** 2 @ (modes.delta_l / modes.v) ** 2)
+    inside = (0.0 < omega) & (omega < modes.omega_d)
+    flux = np.where(inside, weight * omega * (modes.omega_d - omega), 0.0)
+    if temperature != 0.0:
+        background = thermal_occupation(omega, temperature)
+        stimulated = 1.0 + thermal_occupation(modes.omega_d - omega, temperature)
+        flux = background + flux * stimulated
+    return flux if flux.ndim else float(flux)
 
 
 def g1_broadband(

@@ -373,3 +373,97 @@ def test_failed_grid_points_share_one_status_format(args, rows, tmp_path):
 def test_subcommand_guide_count_checked_first(command, n, message, capsys):
     assert main([command, "--target-occupancy", "0.1", "--n", n]) == 1
     assert f"{command} needs {message}" in capsys.readouterr().err
+
+
+def test_sweep_evaluates_each_temperature_once(monkeypatch):
+    # one drive evaluation for the grid, one qutrit batch per T > 0
+    calls = _count_calls(monkeypatch, "mode_response", "density_matrix")
+    cfg = parse_config(
+        MINIMAL + "theta_steps = 1000\ntemperature_mk = 0,25,40\n"
+        "observables = entropy,f_noon\n"
+    )
+    _, failures = run_sweep(cfg)
+    assert failures == 0
+    assert calls == {"mode_response": 1, "density_matrix": 2}
+
+
+def _point_cells(tokens, modes, spectrum, temp):
+    """Value cells of one sweep row, or its error cell, from per-point calls."""
+    from dcearray import correlations as co
+    from dcearray import quantum_state as qs
+    from dcearray.errors import DceArrayError
+
+    corr = tdm = None
+    values = []
+    try:
+        for token in tokens:
+            name, *guides = token.split("_")
+            if name == "cs":
+                name, guides = "cs_violation", guides[1:]
+            ij = [int(g) - 1 for g in guides]
+            if name in ("n", "g2", "cs_violation"):
+                if corr is None:
+                    corr = (co.g2_zero_temperature(modes, spectrum) if temp == 0.0
+                            else co.g2_thermal(modes, spectrum, temp))
+                if name == "n":
+                    values.append(corr.intensities[ij[0]])
+                elif name == "g2":
+                    values.append(corr.g2(*ij))
+                else:
+                    values.append(co.cauchy_schwarz_violation(corr, *ij))
+            else:
+                if tdm is None and temp == 0.0:
+                    tdm = qs.perturbative_density_matrix(modes, spectrum)
+                elif tdm is None:
+                    tdm = qs.density_matrix(qs.output_gaussian(modes, spectrum, temp))
+                value = {"entropy": qs.von_neumann_entropy, "f_noon": qs.noon_fidelity,
+                         "f_eq10": qs.maximally_entangled_fidelity}[name]
+                values.append(value(tdm))
+    except DceArrayError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return values, ""
+
+
+@pytest.mark.parametrize(
+    "config, failed",
+    [
+        ("da0_joule = 0\ntheta_steps = 3\ntemperature_mk = 0,25\n"
+         "observables = n_1,g2_1_2,entropy\n", 3),
+        ("da0_joule = 0\ntheta_steps = 3\ntemperature_mk = 0,25\n"
+         "observables = entropy,n_1,g2_1_2\n", 3),
+        (MINIMAL + "n = 3\ntheta_steps = 7\n"
+         "observables = n_1,cs_violation_1_2,cs_violation_1_3\n", 7),
+        (MINIMAL + "topology = ring\nn = 31\ntheta_steps = 25\n"
+         "temperature_mk = 0,25\nobservables = n_1,g2_1_1,g2_1_16\n", 0),
+    ],
+    ids=["failed-cold-rows", "failed-cold-rows-qutrit-first", "asymmetric", "ring-31"],
+)
+def test_batched_grid_matches_point_evaluation(config, failed):
+    from dataclasses import replace
+
+    from dcearray.cli import _prepare
+    from dcearray.drive import mode_response
+
+    cfg = parse_config(config)
+    spectrum, drive = _prepare(cfg)
+    lines, failures = run_sweep(cfg)
+    assert failures == failed
+    rows = [line.split(",") for line in lines[1:-1]]
+    points = [(t, theta) for t in cfg.temperatures for theta in cfg.thetas.tolist()]
+    assert len(rows) == len(points)
+    messages = set()
+    for row, (temp, theta) in zip(rows, points):
+        assert row[:3] == ["%.17g" % theta, "%.17g" % cfg.phi, "%.17g" % (temp * 1e3)]
+        modes = mode_response(replace(drive, theta=theta), cfg.line, spectrum)
+        values, error = _point_cells(cfg.observables, modes, spectrum, temp)
+        assert row[-1] == error
+        if values is None:
+            assert row[3:-1] == [""] * len(cfg.observables)
+            messages.add(error)
+            continue
+        for cell, value in zip(row[3:-1], values):
+            got = float(cell)
+            assert abs(got - value) <= 1e-12 * abs(value) + 1e-15, (cell, value)
+    if failed == 7:  # each message embeds its point's own intensities
+        assert len(messages) > 1
+        assert all(m.startswith("AsymmetricModes: intensities N_0=") for m in messages)

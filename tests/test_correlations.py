@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcearray.correlations import (
     cauchy_schwarz_violation,
@@ -176,3 +178,41 @@ def test_asymmetric_pair_rejected():
     # end and middle waveguides of an open chain carry different intensity
     with pytest.raises(AsymmetricModes):
         cauchy_schwarz_violation(corr, 0, 1)
+
+
+SPEC_RING8 = eigendecompose(build_laplacian(ArrayTopology.ring(8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    thetas=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=50),
+    temp_mk=st.one_of(st.just(0.0), st.floats(1.0, 60.0)),
+    spectrum=st.sampled_from([SPEC2, SPEC_RING8]),
+)
+def test_batched_correlations_equal_point_ones(thetas, temp_mk, spectrum):
+    temp = temp_mk * 1e-3
+
+    def correlations(modes):
+        if temp == 0.0:
+            return g2_zero_temperature(modes, spectrum)
+        return g2_thermal(modes, spectrum, temp)
+
+    batch = correlations(modes_at(0.9, np.array(thetas), spectrum=spectrum))
+    g2 = batch.g2_matrix
+    for k, theta in enumerate(thetas):
+        try:
+            point = correlations(modes_at(0.9, theta, spectrum=spectrum))
+        except ZeroIntensity as exc:
+            assert str(batch.errors[k]) == str(exc)
+            continue
+        assert k not in batch.errors
+        assert np.allclose(batch.intensities[k], point.intensities, rtol=1e-12, atol=0)
+        assert np.allclose(g2[k], point.g2_matrix, rtol=1e-12, atol=1e-15)
+        assert np.allclose(point.g2_matrix, point.g2_matrix.T, rtol=1e-12, atol=1e-15)
+    assert np.allclose(g2, np.swapaxes(g2, 1, 2), rtol=1e-12, atol=1e-15)
+    for i in range(spectrum.n):
+        for j in range(spectrum.n):
+            assert np.allclose(batch.g2(i, j), g2[:, i, j], rtol=1e-12, atol=1e-15)
+    if temp == 0.0 and spectrum is SPEC2:
+        ok = [k for k in range(len(thetas)) if k not in batch.errors]
+        assert np.max(np.abs(g2[ok, 0, 0] + g2[ok, 0, 1] - 1.0), initial=0.0) <= 1e-12
