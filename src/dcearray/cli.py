@@ -427,12 +427,15 @@ def _run_time_delay(config: RunConfig) -> tuple:
     spectrum, drive = _prepare(config)
     modes = _modes(config, spectrum, drive, float(config.thetas[0]))
     spec_cfg = SpectralConfig(omega_d=config.omega_d, line=config.line)
+    x = spec_cfg.tau_grid
+    tau = x / config.omega_d
+    g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line, check=False)
+    g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line, check=False)
     lines = ["# omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"]
-    for x in spec_cfg.tau_grid:
-        tau = float(x) / config.omega_d
-        g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line, check=False)
-        g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line, check=False)
-        lines.append(",".join([_fmt(float(x)), _fmt(g11), _fmt(g12)]))
+    lines.extend(
+        "%.17g,%.17g,%.17g" % row  # as _fmt
+        for row in zip(x.tolist(), g11.tolist(), g12.tolist())
+    )
     lines.append("# status: ok")
     return lines, 0
 
@@ -544,8 +547,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every call of main: building it costs more than a small
+# subcommand, and parsing leaves it unchanged.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     try:
         text = ""

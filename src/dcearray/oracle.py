@@ -3,10 +3,17 @@
 Each normal mode is prepared as a squeezed thermal state with
 sinh(r_n) = eps_n and squeeze phase chosen so that
 <b_n b_n> = -i eps_n sqrt(1 + eps_n^2) (1 + 2 N_T), matching the exact
-Bogoliubov embedding of quantum_state.  Waveguide operators are the
-orthogonal combinations a_i = sum_n c_n^i b_n, built as dense matrices so
-arbitrary moments and Fock-basis matrix elements reduce to linear algebra.
-Test oracle only: dense matrices, at most three modes.
+Bogoliubov embedding of quantum_state.  The truncated squeeze operator
+exp(-i H), H = (r_n/2)(b_n^2 + b_n^dag^2), comes from the eigenvectors of
+the real symmetric H.  Besides the density matrix rho, a state keeps the
+exact factor F = (x)_n S_n diag(sqrt(w_n)) with rho = F F^dag, where S_n
+is the squeeze and w_n the thermal weights (columns of zero weight are
+dropped, nothing else).  Waveguide operators are the orthogonal
+combinations a_i = sum_n c_n^i b_n.  :func:`moment` multiplies them as
+dense matrices; :func:`normal_moments` and the number states of
+:func:`fock_element` and :func:`fock_block` apply them as slice shifts on
+the mode axes of F or of a state vector, so the two paths check each
+other.  Test oracle only: numpy alone, at most three modes.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
 
 from .errors import CutoffTooSmall
 
@@ -70,14 +75,20 @@ class OracleState:
     space: FockSpace
     rho: np.ndarray
     a_ops: list  # waveguide annihilation operators a_i = sum_n c_n^i b_n
+    c_matrix: np.ndarray  # c_matrix[n, i] = c_n^i
+    factor: np.ndarray  # F with rho = F F^dag, one column per kept Fock product
 
 
-def _thermal_single(space: FockSpace, n_thermal: float, deficit_tol: float):
+# Factor columns per pass of normal_moments.  It bounds the memory of the
+# operator products held at once: 35 products of dim x 64 complex numbers
+# for three modes up to total 4.
+_BLOCK = 64
+
+
+def _thermal_weights(space: FockSpace, n_thermal: float, deficit_tol: float):
     levels = np.arange(space.local_dim)
     if n_thermal == 0.0:
-        weights = np.zeros(space.local_dim)
-        weights[0] = 1.0
-        return np.diag(weights)
+        return (levels == 0).astype(float)
     ratio = n_thermal / (1.0 + n_thermal)
     weights = ratio**levels / (1.0 + n_thermal)
     deficit = ratio ** space.local_dim
@@ -85,7 +96,19 @@ def _thermal_single(space: FockSpace, n_thermal: float, deficit_tol: float):
         raise CutoffTooSmall(
             f"thermal trace deficit {deficit:.3g} exceeds {deficit_tol:g}"
         )
-    return np.diag(weights)
+    return weights
+
+
+def _squeeze(r: float, local_dim: int) -> np.ndarray:
+    """exp(-i H) with H = (r/2)(b^2 + b^dag^2) on one truncated mode.
+
+    H is real symmetric, so exp(-i H) = V diag(e^{-i lambda}) V^T from
+    its eigendecomposition H = V diag(lambda) V^T.
+    """
+    lower = np.diag(np.sqrt(np.arange(1, local_dim)), k=1)
+    pair = lower @ lower
+    lam, vec = np.linalg.eigh(0.5 * r * (pair + pair.T))
+    return (vec * np.exp(-1j * lam)) @ vec.T
 
 
 def build_state(
@@ -108,27 +131,29 @@ def build_state(
     n_modes = len(eps)
     space = FockSpace(n_modes, cutoff)
 
-    single_a = np.diag(np.sqrt(np.arange(1, space.local_dim)), k=1)
-    rho = None
+    weights = _thermal_weights(space, n_thermal, deficit_tol)
+    kept = weights > 0.0
+    rho = factor = None
     for e in eps:
-        rho_n = _thermal_single(space, n_thermal, deficit_tol)
         r = math.asinh(float(e))
-        if r != 0.0:
-            gen = -0.5j * r * (single_a @ single_a + single_a.T @ single_a.T)
-            squeeze = expm(gen)
-            rho_n = squeeze @ rho_n @ squeeze.conj().T
+        squeeze = _squeeze(r, space.local_dim) if r else np.eye(space.local_dim)
+        rho_n = (squeeze * weights) @ squeeze.conj().T
         top = float(np.real(rho_n[-1, -1]))
         if top > deficit_tol:
             raise CutoffTooSmall(
                 f"top Fock level holds {top:.3g} > {deficit_tol:g} after squeezing"
             )
+        factor_n = squeeze[:, kept] * np.sqrt(weights[kept])
         rho = rho_n if rho is None else np.kron(rho, rho_n)
+        factor = factor_n if factor is None else np.kron(factor, factor_n)
 
     a_ops = []
     for i in range(n_modes):
         op = sum(c_matrix[n, i] * space.lower[n] for n in range(n_modes))
         a_ops.append(op)
-    return OracleState(space=space, rho=rho, a_ops=a_ops)
+    return OracleState(
+        space=space, rho=rho, a_ops=a_ops, c_matrix=c_matrix, factor=factor
+    )
 
 
 def moment(state: OracleState, word) -> complex:
@@ -144,27 +169,44 @@ def moment(state: OracleState, word) -> complex:
     return complex(np.sum(state.rho * op.T))
 
 
-def _lowering_products(state: OracleState, max_total: int):
-    """Products prod_i a_i^{m_i} for every multi-index with |m| <= max_total.
+def _ladder(x: np.ndarray, coeffs, dagger: bool = False) -> np.ndarray:
+    """a = sum_n coeffs[n] b_n, or a^dag, applied along the leading mode axes of x.
 
-    Every a_i is banded, so the products are built and returned as sparse
-    CSR matrices; a dense product would cost dim^3 per multiplication.
+    Each b_n is a slice shift on mode axis n, (b_n x)[k - 1] = sqrt(k) x[k]
+    and (b_n^dag x)[k] = sqrt(k) x[k - 1]: the truncated ladders of
+    FockSpace.  Trailing axes (columns of F) ride along.
     """
-    n_modes = state.space.n_modes
-    lower = [sparse.csr_matrix(op) for op in state.a_ops]
-    products = {
-        (0,) * n_modes: sparse.identity(state.space.dim, dtype=complex, format="csr")
-    }
+    out = None
+    root = np.sqrt(np.arange(1.0, x.shape[0]))
+    for n, c in enumerate(coeffs):
+        if c != 0.0:
+            scale = (c * root).reshape((-1,) + (1,) * (x.ndim - n - 1))
+            axis = (slice(None),) * n
+            upper = axis + (slice(1, None),)
+            lower = axis + (slice(None, -1),)
+            src, dst, edge = (lower, upper, 0) if dagger else (upper, lower, -1)
+            if out is None:  # the first term fills out without a zero pass
+                out = np.empty_like(x)
+                np.multiply(scale, x[src], out=out[dst])
+                out[axis + (edge,)] = 0.0
+            else:
+                out[dst] += scale * x[src]
+    return np.zeros_like(x) if out is None else out
+
+
+def _lowering_products(x: np.ndarray, c_matrix, max_total: int) -> dict:
+    """B_m x = prod_i a_i^m_i x for every multi-index m with |m| <= max_total.
+
+    Each product grows from one with a lower total by one ladder shift.
+    """
+    n_modes = c_matrix.shape[1]
+    products = {(0,) * n_modes: x}
     for total in range(1, max_total + 1):
-        for index in products.copy():
-            if sum(index) != total - 1:
-                continue
+        for index in [m for m in products if sum(m) == total - 1]:
             for i in range(n_modes):
-                grown = list(index)
-                grown[i] += 1
-                grown = tuple(grown)
+                grown = index[:i] + (index[i] + 1,) + index[i + 1:]
                 if grown not in products:
-                    products[grown] = products[index] @ lower[i]
+                    products[grown] = _ladder(products[index], c_matrix[:, i])
     return products
 
 
@@ -173,33 +215,36 @@ def normal_moments(state: OracleState, totals=(2, 4)) -> dict:
 
     Returns ``{(dag_counts, low_counts): value}`` where the keys hold one
     creation and one annihilation count per waveguide and the value is
-    <prod_i a_i^dag^d_i prod_i a_i^k_i>.  One pass shares the operator
-    products between all words, which is much cheaper than calling
-    :func:`moment` word by word.  Each dense product B_low rho is consumed
-    against every creation product before the next one is formed, so only
-    one dim x dim product is held at a time.
+    <prod_i a_i^dag^d_i prod_i a_i^k_i> = vdot(B_dag F, B_low F) with
+    B_m = prod_i a_i^m_i.  F is taken a fixed number of columns at a time,
+    so one pass serves all words in bounded memory, much cheaper than
+    calling :func:`moment` word by word.
     """
-    products = _lowering_products(state, max(totals))
-    conj = {k: op.conj() for k, op in products.items()}
+    shape = (state.space.local_dim,) * state.space.n_modes
     out = {}
-    for low, b_low in products.items():
-        c_low = b_low @ state.rho
-        for dag, b_dag_conj in conj.items():
-            if sum(dag) + sum(low) in totals:
-                # Tr[rho B_dag^H B_low] = sum_ij (B_low rho)_ij conj(B_dag)_ij
-                out[(dag, low)] = complex(b_dag_conj.multiply(c_low).sum())
-    return out
+    for start in range(0, state.factor.shape[1], _BLOCK):
+        block = state.factor[:, start:start + _BLOCK].reshape(shape + (-1,))
+        products = _lowering_products(block, state.c_matrix, max(totals))
+        keys = list(products)
+        for k, low in enumerate(keys):
+            for dag in keys[k:]:
+                if sum(dag) + sum(low) in totals:
+                    value = np.vdot(products[dag], products[low])
+                    out[dag, low] = out.get((dag, low), 0j) + value
+                    if dag != low:  # <B_low^dag B_dag> = conj <B_dag^dag B_low>
+                        out[low, dag] = out.get((low, dag), 0j) + value.conjugate()
+    return {word: complex(value) for word, value in out.items()}
 
 
 def _number_vector(state: OracleState, counts) -> np.ndarray:
     """prod_i (a_i^dag)^n_i / sqrt(n_i!) |0> for photon numbers ``counts``."""
-    vec = state.space.vacuum().astype(complex)
+    shape = (state.space.local_dim,) * state.space.n_modes
+    vec = state.space.vacuum().reshape(shape)
     for mode, count in enumerate(counts):
-        create = state.a_ops[mode].conj().T
         for _ in range(count):
-            vec = create @ vec
-        vec /= math.sqrt(math.factorial(count))
-    return vec
+            vec = _ladder(vec, state.c_matrix[:, mode], dagger=True)
+        vec = vec / math.sqrt(math.factorial(count))
+    return vec.reshape(-1)
 
 
 def fock_element(state: OracleState, bra, ket) -> complex:

@@ -123,26 +123,34 @@ def g1_broadband(
     return closed
 
 
-def _poly_kernel_closed(tau: float, w_d: float) -> complex:
+def _poly_kernel_series(x: float, w_d: float) -> complex:
+    """J at x = tau w_d by its power series, for |x| < 1."""
+    total = 0.0j
+    term_power = 1.0 + 0.0j
+    for m in range(40):
+        contrib = term_power * w_d**3 / ((m + 2.0) * (m + 3.0))
+        total += contrib
+        if abs(contrib) < 1e-18 * abs(total) and m > 4:
+            break
+        term_power *= 1j * x / (m + 1.0)
+    return total
+
+
+def _poly_kernel_closed(tau, w_d: float):
     """J(tau) = int_0^{w_d} w (w_d - w) e^{i w tau} dw, elementary antiderivative.
 
-    A power series takes over for |tau| w_d < 1 where the closed form loses
+    ``tau`` is a float, or an array that gives J at every delay in it.  A
+    power series takes over for |tau| w_d < 1 where the closed form loses
     digits to cancellation.
     """
+    tau = np.asarray(tau, dtype=float)
     x = tau * w_d
-    if abs(x) < 1.0:
-        total = 0.0j
-        term_power = 1.0 + 0.0j
-        for m in range(40):
-            contrib = term_power * w_d**3 / ((m + 2.0) * (m + 3.0))
-            total += contrib
-            if abs(contrib) < 1e-18 * abs(total) and m > 4:
-                break
-            term_power *= 1j * x / (m + 1.0)
-        return total
-    k = 1j * tau
-    e = cmath.exp(k * w_d)
-    return e * (w_d / k**2 - 2.0 / k**3) + w_d / k**2 + 2.0 / k**3
+    series = np.abs(x) < 1.0
+    k = 1j * np.where(series, 1.0, tau)  # a placeholder where the series takes over
+    e = np.exp(k * w_d)
+    kernel = np.array(e * (w_d / k**2 - 2.0 / k**3) + w_d / k**2 + 2.0 / k**3)
+    kernel[series] = [_poly_kernel_series(v, w_d) for v in x[series].tolist()]
+    return kernel if kernel.ndim else complex(kernel)
 
 
 def pair_integral(n: int, tau: float, modes: ModeResponse) -> complex:
@@ -175,30 +183,32 @@ def pair_integral_quadrature(n: int, tau: float, modes: ModeResponse) -> complex
 def g2_broadband(
     i: int,
     j: int,
-    tau: float,
+    tau,
     modes: ModeResponse,
     spectrum: LaplacianSpectrum,
     line: LineParams,
     check: bool = True,
-) -> float:
+):
     """Time-delayed broadband pair correlator G2_ij(tau) of the output voltages.
 
     G2_ij(tau) = (hbar Z0 / 4 pi)^2 |sum_n c_n^i c_n^j I_n(tau)|^2.  Every
     I_n(tau) is -i (deltaL_n / v) J(tau) with one shared delay kernel J, so
     G2_ij(tau) = (hbar Z0 / 4 pi)^2 (|J(tau)| / v sum_n c_n^i c_n^j deltaL_n)^2.
+    ``tau`` is a float, or an array that gives G2_ij at every delay in it.
     With ``check`` the closed-form J is validated against adaptive quadrature
-    to 1e-9 relative.
+    to 1e-9 relative, one delay at a time.
     """
     c = spectrum.modes
     kappa = HBAR * line.z0 / (4.0 * math.pi)
     kernel = _poly_kernel_closed(tau, modes.omega_d)
     if check and np.any(modes.delta_l != 0.0):
-        ref = _poly_kernel_quadrature(tau, modes.omega_d)
-        scale = max(abs(kernel), abs(ref))
-        if scale > 0 and abs(kernel - ref) > 1e-9 * scale:
-            raise QuadratureDisagreement(
-                f"J({tau:g}) closed form {kernel} vs quadrature {ref}"
-            )
+        for t, closed in zip(np.ravel(tau).tolist(), np.ravel(kernel).tolist()):
+            ref = _poly_kernel_quadrature(t, modes.omega_d)
+            scale = max(abs(closed), abs(ref))
+            if scale > 0 and abs(closed - ref) > 1e-9 * scale:
+                raise QuadratureDisagreement(
+                    f"J({t:g}) closed form {closed} vs quadrature {ref}"
+                )
     weight = float((c[:, i] * c[:, j]) @ modes.delta_l)
     return (kappa * abs(kernel) / modes.v * weight) ** 2
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from dcearray import oracle
 from dcearray.errors import CutoffTooSmall
 from dcearray.oracle import (
     FockSpace,
@@ -14,6 +16,14 @@ from dcearray.oracle import (
 )
 
 C2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+# normal modes of an open three-guide chain, one mode per row
+C3 = np.array(
+    [
+        [0.5, math.sqrt(0.5), 0.5],
+        [math.sqrt(0.5), 0.0, -math.sqrt(0.5)],
+        [0.5, -math.sqrt(0.5), 0.5],
+    ]
+)
 
 
 def test_ladder_commutator_below_cutoff():
@@ -82,18 +92,32 @@ def test_mode_limit():
         FockSpace(4, cutoff=4)
 
 
+@pytest.mark.parametrize("cutoff", [8, 32])
+@pytest.mark.parametrize("eps", [-0.3, -0.1, 0.05, 0.3])
+def test_squeeze_matches_matrix_exponential(cutoff, eps):
+    a = FockSpace(1, cutoff).lower[0]
+    r = math.asinh(eps)
+    reference = expm(-0.5j * r * (a @ a + a.T @ a.T))
+    squeeze = oracle._squeeze(r, cutoff + 1)
+    assert np.max(np.abs(squeeze - reference)) <= 1e-12
+
+
 def test_normal_moments_match_single_calls():
-    state = build_state([0.2, -0.1], C2, n_thermal=0.05, cutoff=12, deficit_tol=1e-6)
-    table = normal_moments(state, totals=(2, 4))
-    assert len(table) == 45
-    for (dag, low), value in table.items():
-        word = (
-            [(0, True)] * dag[0]
-            + [(1, True)] * dag[1]
-            + [(0, False)] * low[0]
-            + [(1, False)] * low[1]
+    # the factor-and-shift path against dense operator products, for two
+    # modes and for a three-mode thermal state
+    for eps, c_matrix, n_thermal, cutoff, count in (
+        ([0.2, -0.1], C2, 0.05, 12, 45),
+        ([0.1, -0.08, 0.05], C3, 0.02, 6, 147),
+    ):
+        state = build_state(
+            eps, c_matrix, n_thermal=n_thermal, cutoff=cutoff, deficit_tol=1e-6
         )
-        assert value == pytest.approx(moment(state, word), abs=1e-12)
+        table = normal_moments(state, totals=(2, 4))
+        assert len(table) == count
+        for (dag, low), value in table.items():
+            word = [(i, True) for i, d in enumerate(dag) for _ in range(d)]
+            word += [(i, False) for i, k in enumerate(low) for _ in range(k)]
+            assert value == pytest.approx(moment(state, word), abs=1e-12)
 
 
 def test_fock_block_matches_single_elements():

@@ -181,6 +181,42 @@ def test_cli_import_leaves_quadrature_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_and_oracle_draw_leave_scipy_unloaded():
+    # a criterion-6 style draw: oracle state, normal moments, qutrit block
+    code = (
+        "import sys, numpy as np, dcearray.cli\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "from dcearray import oracle\n"
+        "c = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)\n"
+        "ref = oracle.build_state([0.3, -0.2], c, n_thermal=0.1, cutoff=16,\n"
+        "                         deficit_tol=1e-6)\n"
+        "oracle.normal_moments(ref, totals=(2, 4))\n"
+        "oracle.fock_block(ref, levels=3)\n"
+        "loaded += [m for m in sys.modules if m.startswith('scipy')]\n"
+        "print(sorted(set(loaded)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_g2_broadband_over_a_delay_array_matches_single_delays():
+    # the array path against per-delay calls, across both kernel branches
+    x = np.array([0.0, 0.3, 0.99, 1.0, 2.5, 17.0, 30.0])
+    tau = x / OMEGA_D
+    for i, j in ((0, 0), (0, 1)):
+        batch = g2_broadband(i, j, tau, MODES, SPEC2, LINE, check=False)
+        single = [g2_broadband(i, j, t, MODES, SPEC2, LINE) for t in tau.tolist()]
+        assert batch.shape == x.shape
+        assert batch == pytest.approx(single, rel=1e-13, abs=0.0)
+        checked = g2_broadband(i, j, tau, MODES, SPEC2, LINE, check=True)
+        assert np.array_equal(checked, batch)
+
+
 def test_g2_broadband_decays_smoothly():
     cfg = SpectralConfig(omega_d=OMEGA_D, line=LINE)
     values = [
