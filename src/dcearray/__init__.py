@@ -40,10 +40,11 @@ from .quantum_state import (
     wick_moment,
 )
 from .spectral import (
-    SpectralConfig,
+    TAU_GRID,
     g1_broadband,
     g2_broadband,
     g2_broadband_normalized,
+    omega_grid,
     pair_integral,
     photon_flux_density,
     scattering_amplitude,

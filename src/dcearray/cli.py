@@ -45,9 +45,10 @@ from .quantum_state import (
     wick_moment,
 )
 from .spectral import (
-    SpectralConfig,
+    TAU_GRID,
     g2_broadband,
     g2_broadband_normalized,
+    omega_grid,
     photon_flux_density,
 )
 
@@ -408,8 +409,7 @@ def _run_spectrum(config: RunConfig) -> tuple:
     """Photon flux spectral density of waveguide 1 over (0, omega_d)."""
     spectrum, drive = _prepare(config)
     modes = _modes(config, spectrum, drive, float(config.thetas[0]))
-    spec_cfg = SpectralConfig(omega_d=config.omega_d, line=config.line)
-    omegas = spec_cfg.omega_grid()
+    omegas = omega_grid(config.omega_d)
     cells = [_fmt(w) for w in omegas.tolist()]
     lines = ["# omega_rad_s,temperature_mk,flux_1"]
     for temp in config.temperatures:
@@ -426,35 +426,27 @@ def _run_time_delay(config: RunConfig) -> tuple:
     """Broadband G2_11 and G2_12 against the dimensionless delay omega_d*tau."""
     spectrum, drive = _prepare(config)
     modes = _modes(config, spectrum, drive, float(config.thetas[0]))
-    spec_cfg = SpectralConfig(omega_d=config.omega_d, line=config.line)
-    x = spec_cfg.tau_grid
-    tau = x / config.omega_d
-    g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line, check=False)
-    g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line, check=False)
+    tau = TAU_GRID / config.omega_d
+    g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line)
+    g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line)
     lines = ["# omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"]
     lines.extend(
         "%.17g,%.17g,%.17g" % row  # as _fmt
-        for row in zip(x.tolist(), g11.tolist(), g12.tolist())
+        for row in zip(TAU_GRID.tolist(), g11.tolist(), g12.tolist())
     )
     lines.append("# status: ok")
     return lines, 0
 
 
 def _run_broadband(config: RunConfig) -> tuple:
-    """Normalized zero-delay broadband correlations over the theta grid."""
+    """Normalized zero-delay broadband correlations, one batch over the theta grid."""
     spectrum, drive = _prepare(config)
-    rows = []
-    for theta in config.thetas.tolist():
-        modes = _modes(config, spectrum, drive, theta)
-        try:
-            values = [
-                g2_broadband_normalized(0, j, modes, spectrum, config.line)
-                for j in (0, 1)
-            ]
-        except DceArrayError as exc:
-            values = [exc]
-        rows.append(([_fmt(theta)], values))
-    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), rows)
+    modes = _modes(config, spectrum, drive, config.thetas)
+    columns = [
+        g2_broadband_normalized(0, j, modes, spectrum).tolist() for j in (0, 1)
+    ]
+    lead = [[_fmt(theta)] for theta in config.thetas.tolist()]
+    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), zip(lead, zip(*columns)))
 
 
 def _run_entangle(config: RunConfig) -> tuple:
@@ -552,6 +544,15 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _write(path: str, payload: str, mode: str) -> None:
+    """Write ``payload`` to the ``out`` file; any OSError is a ConfigError."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write out={path!r}: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
@@ -564,16 +565,17 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None
         config = parse_config(text, overrides, args.command)
+        if config.out:
+            # Append mode finds an unwritable out before the compute and keeps
+            # an existing file; a new one goes, so a failed run leaves none.
+            existed = os.path.exists(config.out)
+            _write(config.out, "", "a")
+            if not existed:
+                os.remove(config.out)
         lines, failures = SUBCOMMANDS[args.command](config)
         payload = "\n".join(lines) + "\n"
         if config.out:
-            try:
-                with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(payload)
-            except OSError as exc:
-                raise ConfigError(
-                    f"cannot write out={config.out!r}: {exc.strerror}"
-                ) from None
+            _write(config.out, payload, "w")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -61,12 +61,6 @@ class CutoffTooSmall(DceArrayError):
     """Fock-space cutoff cannot hold the requested state to tolerance."""
 
 
-# -- spectral --------------------------------------------------------------
-
-class QuadratureDisagreement(DceArrayError):
-    """Closed-form and quadrature values of a spectral integral disagree."""
-
-
 # -- cli / config ----------------------------------------------------------
 
 class ConfigError(DceArrayError):

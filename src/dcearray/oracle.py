@@ -39,17 +39,22 @@ __all__ = [
 MAX_MODES = 3
 
 
+def _local_dim(n_modes: int, cutoff: int) -> int:
+    """Levels per mode, cutoff + 1, of a register the oracle supports."""
+    if not 1 <= n_modes <= MAX_MODES:
+        raise ValueError(f"oracle supports 1..{MAX_MODES} modes")
+    if cutoff < 2:
+        raise ValueError("cutoff must be at least 2")
+    return cutoff + 1
+
+
 class FockSpace:
     """Dense ladder operators for a small register of truncated modes."""
 
     def __init__(self, n_modes: int, cutoff: int = 8):
-        if not 1 <= n_modes <= MAX_MODES:
-            raise ValueError(f"oracle supports 1..{MAX_MODES} modes")
-        if cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
         self.n_modes = n_modes
         self.cutoff = cutoff
-        self.local_dim = cutoff + 1
+        self.local_dim = _local_dim(n_modes, cutoff)
         self.dim = self.local_dim**n_modes
 
         a = np.diag(np.sqrt(np.arange(1, self.local_dim)), k=1)
@@ -85,13 +90,13 @@ class OracleState:
 _BLOCK = 64
 
 
-def _thermal_weights(space: FockSpace, n_thermal: float, deficit_tol: float):
-    levels = np.arange(space.local_dim)
+def _thermal_weights(local_dim: int, n_thermal: float, deficit_tol: float):
+    levels = np.arange(local_dim)
     if n_thermal == 0.0:
         return (levels == 0).astype(float)
     ratio = n_thermal / (1.0 + n_thermal)
     weights = ratio**levels / (1.0 + n_thermal)
-    deficit = ratio ** space.local_dim
+    deficit = ratio ** local_dim
     if deficit > deficit_tol:
         raise CutoffTooSmall(
             f"thermal trace deficit {deficit:.3g} exceeds {deficit_tol:g}"
@@ -129,14 +134,16 @@ def build_state(
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     c_matrix = np.asarray(c_matrix, dtype=float)
     n_modes = len(eps)
-    space = FockSpace(n_modes, cutoff)
+    local_dim = _local_dim(n_modes, cutoff)
 
-    weights = _thermal_weights(space, n_thermal, deficit_tol)
+    # Both checks need one mode's levels only, so a too-small cutoff is
+    # rejected before FockSpace builds its dense register ladders.
+    weights = _thermal_weights(local_dim, n_thermal, deficit_tol)
     kept = weights > 0.0
     rho = factor = None
     for e in eps:
         r = math.asinh(float(e))
-        squeeze = _squeeze(r, space.local_dim) if r else np.eye(space.local_dim)
+        squeeze = _squeeze(r, local_dim) if r else np.eye(local_dim)
         rho_n = (squeeze * weights) @ squeeze.conj().T
         top = float(np.real(rho_n[-1, -1]))
         if top > deficit_tol:
@@ -147,6 +154,7 @@ def build_state(
         rho = rho_n if rho is None else np.kron(rho, rho_n)
         factor = factor_n if factor is None else np.kron(factor, factor_n)
 
+    space = FockSpace(n_modes, cutoff)
     a_ops = []
     for i in range(n_modes):
         op = sum(c_matrix[n, i] * space.lower[n] for n in range(n_modes))

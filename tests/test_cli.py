@@ -149,7 +149,8 @@ def test_first_token_decides_the_error_cell(observables, message, tmp_path):
     assert all(message in row for row in rows)
 
 
-def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    calls = _count_mode_response(monkeypatch)
     out = tmp_path / ("a" * 300 + ".csv")  # longer than any file name may be
     args = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "3",
             "--out", str(out)]
@@ -157,6 +158,22 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write out=")
     assert "Traceback" not in err
+    assert calls == []  # found before the compute
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"], ids=["new", "existing"])
+def test_failed_run_leaves_out_as_it_was(existing, tmp_path, capsys):
+    out = tmp_path / "new.csv"
+    if existing is not None:
+        out.write_text(existing)
+    args = ["sweep", "--phi-rad", "3", "--target-occupancy", "0.1",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert "Lambda0" in capsys.readouterr().err
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert out.read_text() == existing
 
 
 def test_cli_config_file_with_overrides(tmp_path):
@@ -321,6 +338,23 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
+def _count_mode_response(monkeypatch):
+    """Record each mode_response call, from cli and from the calibration in drive."""
+    import dcearray.cli as cli
+    import dcearray.drive as drive
+
+    calls = []
+    original = drive.mode_response
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return original(*a, **kw)
+
+    for module in (cli, drive):
+        monkeypatch.setattr(module, "mode_response", counted)
+    return calls
+
+
 ENTANGLE_POINT = [
     "entangle", "--target-occupancy", "0.1", "--theta-rad", "1.0",
     "--temperature-mk", "25",
@@ -385,6 +419,37 @@ def test_sweep_evaluates_each_temperature_once(monkeypatch):
     _, failures = run_sweep(cfg)
     assert failures == 0
     assert calls == {"mode_response": 1, "density_matrix": 2}
+
+
+def test_broadband_evaluates_the_grid_once(tmp_path, monkeypatch):
+    # one drive evaluation for the calibration, one for the grid
+    calls = _count_mode_response(monkeypatch)
+    args = ["broadband", "--target-occupancy", "0.1", "--theta-steps", "50",
+            "--out", str(tmp_path / "bb.csv")]
+    assert main(args) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "topology", [["--n", "2"], ["--topology", "ring", "--n", "64"]],
+    ids=["chain-2", "ring-64"],
+)
+def test_broadband_is_four_thirds_of_band_centre_g2(topology, tmp_path):
+    # G2(0) / sqrt(G1 G1) in band-centre photon units is 4/3 of g2 at T = 0
+    grid = ["--target-occupancy", "0.1", "--theta-steps", "40", *topology]
+    bb, sweep = tmp_path / "bb.csv", tmp_path / "sweep.csv"
+    assert main(["broadband", *grid, "--out", str(bb)]) == 0
+    assert main(["sweep", *grid, "--observables", "g2_1_1,g2_1_2",
+                 "--temperature-mk", "0", "--out", str(sweep)]) == 0
+
+    def cells(path, first):
+        rows = [l.split(",") for l in path.read_text().splitlines()
+                if not l.startswith("#")]
+        return np.array([[float(c) for c in r[first:first + 2]] for r in rows])
+
+    got, band = cells(bb, 1), cells(sweep, 3)
+    assert np.array_equal(cells(bb, 0)[:, 0], cells(sweep, 0)[:, 0])  # same thetas
+    np.testing.assert_allclose(got, 4.0 / 3.0 * band, rtol=1e-14, atol=0.0)
 
 
 def _point_cells(tokens, modes, spectrum, temp):

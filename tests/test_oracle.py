@@ -92,6 +92,25 @@ def test_mode_limit():
         FockSpace(4, cutoff=4)
 
 
+def test_too_small_cutoff_is_rejected_before_the_register(monkeypatch):
+    built = []
+
+    class Counted(FockSpace):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "FockSpace", Counted)
+    with pytest.raises(CutoffTooSmall):
+        build_state([0.3, -0.3], C2, n_thermal=0.2, cutoff=8, deficit_tol=1e-9)
+    assert built == []
+    # an unsupported register is still a ValueError, whatever the tolerance
+    for eps, cutoff in (([0.3] * 4, 8), ([0.3, -0.3], 1)):
+        with pytest.raises(ValueError):
+            build_state(eps, np.eye(len(eps)), n_thermal=0.2, cutoff=cutoff,
+                        deficit_tol=1e-9)
+
+
 @pytest.mark.parametrize("cutoff", [8, 32])
 @pytest.mark.parametrize("eps", [-0.3, -0.1, 0.05, 0.3])
 def test_squeeze_matches_matrix_exponential(cutoff, eps):

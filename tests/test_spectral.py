@@ -10,13 +10,14 @@ from scipy.integrate import quad
 
 from dcearray.constants import HBAR
 from dcearray.drive import DriveParams, LineParams, mode_response
-from dcearray.errors import QuadratureDisagreement, ZeroIntensity
+from dcearray.errors import ZeroIntensity
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.spectral import (
-    SpectralConfig,
+    TAU_GRID,
     g1_broadband,
     g2_broadband,
     g2_broadband_normalized,
+    omega_grid,
     pair_integral,
     pair_integral_quadrature,
     photon_flux_density,
@@ -86,11 +87,13 @@ def test_integrated_flux_matches_band_intensity_structure():
 
 
 def test_g1_closed_form_and_quadrature():
-    value = g1_broadband(0, MODES, SPEC2, LINE, check=True)
+    value = g1_broadband(0, MODES, SPEC2, LINE)
     weights = SPEC2.modes[:, 0] ** 2
+    band, _ = quad(lambda w: w * w * (OMEGA_D - w), 0.0, OMEGA_D)
+    assert band == pytest.approx(OMEGA_D**4 / 12.0, rel=1e-12)
     expected = (
         HBAR * LINE.z0 / (4.0 * math.pi)
-        * OMEGA_D**4 / 12.0
+        * band
         * float(weights @ (MODES.delta_l / LINE.v) ** 2)
     )
     assert value == pytest.approx(expected, rel=1e-12)
@@ -137,10 +140,24 @@ def test_pair_integral_closed_vs_quadrature(x):
     assert abs(closed - numeric) < 1e-9 * max(abs(closed), abs(numeric))
 
 
-@pytest.mark.parametrize("x", [0.0, 0.4, 0.9999, 1.0001, 7.3, 29.5])
+# Delays omega_d tau on both sides of the kernel's series / closed-form switch.
+KERNEL_X = [0.0, 0.4, 0.9999, 1.0001, 7.3, 29.5]
+
+
+def _g2_by_quadrature(pairs, tau, modes, spectrum):
+    """G2_ij(tau) of each pair (i, j), the per-mode sum of quadrature I_n(tau)."""
+    c = spectrum.modes
+    integrals = np.array(
+        [pair_integral_quadrature(n, tau, modes) for n in range(len(c))]
+    )
+    kappa = HBAR * LINE.z0 / (4.0 * math.pi)
+    return [(kappa * abs((c[:, i] * c[:, j]) @ integrals)) ** 2 for i, j in pairs]
+
+
+@pytest.mark.parametrize("x", KERNEL_X)
 def test_g2_broadband_ring_64_matches_per_mode_sum(x):
     # ring-64 at the CLI defaults; G2 at every delay must equal the sum of
-    # the per-mode integrals I_n, with and without the quadrature check
+    # the per-mode integrals I_n, closed form and quadrature
     spec = eigendecompose(build_laplacian(ArrayTopology.ring(64)))
     d = DriveParams(a0=1e-23, da0=1e-25, phi=math.pi / 4.0, theta=0.9,
                     omega_d=OMEGA_D)
@@ -148,26 +165,12 @@ def test_g2_broadband_ring_64_matches_per_mode_sum(x):
     tau = x / OMEGA_D
     kappa = HBAR * LINE.z0 / (4.0 * math.pi)
     c = spec.modes
-    for i, j in ((0, 0), (0, 1), (0, 5)):
-        fast = g2_broadband(i, j, tau, modes, spec, LINE, check=False)
-        checked = g2_broadband(i, j, tau, modes, spec, LINE, check=True)
+    pairs = ((0, 0), (0, 1), (0, 5))
+    for (i, j), ref in zip(pairs, _g2_by_quadrature(pairs, tau, modes, spec)):
+        fast = g2_broadband(i, j, tau, modes, spec, LINE)
         amp = sum(c[n, i] * c[n, j] * pair_integral(n, tau, modes) for n in range(64))
-        ref = kappa**2 * abs(amp) ** 2
-        assert abs(fast - checked) <= 1e-12 * abs(checked)
-        assert abs(fast - ref) <= 1e-12 * abs(ref)
-
-
-def test_g2_broadband_check_catches_a_wrong_kernel(monkeypatch):
-    import dcearray.spectral as spectral
-
-    closed = spectral._poly_kernel_closed
-    monkeypatch.setattr(
-        spectral, "_poly_kernel_closed", lambda tau, w_d: closed(tau, w_d) * (1 + 1e-8)
-    )
-    tau = 3.0 / OMEGA_D
-    g2_broadband(0, 1, tau, MODES, SPEC2, LINE, check=False)
-    with pytest.raises(QuadratureDisagreement):
-        g2_broadband(0, 1, tau, MODES, SPEC2, LINE, check=True)
+        assert abs(fast - kappa**2 * abs(amp) ** 2) <= 1e-12 * abs(fast)
+        assert abs(fast - ref) <= 1e-9 * abs(ref)
 
 
 def test_cli_import_leaves_quadrature_unloaded():
@@ -205,23 +208,24 @@ def test_cli_and_oracle_draw_leave_scipy_unloaded():
 
 
 def test_g2_broadband_over_a_delay_array_matches_single_delays():
-    # the array path against per-delay calls, across both kernel branches
-    x = np.array([0.0, 0.3, 0.99, 1.0, 2.5, 17.0, 30.0])
+    # the array path against per-delay calls and quadrature, across both
+    # kernel branches
+    x = np.array(KERNEL_X + [0.3, 0.99, 1.0, 2.5, 17.0, 30.0])
     tau = x / OMEGA_D
-    for i, j in ((0, 0), (0, 1)):
-        batch = g2_broadband(i, j, tau, MODES, SPEC2, LINE, check=False)
+    pairs = ((0, 0), (0, 1))
+    refs = zip(*(_g2_by_quadrature(pairs, t, MODES, SPEC2) for t in tau.tolist()))
+    for (i, j), ref in zip(pairs, refs):
+        batch = g2_broadband(i, j, tau, MODES, SPEC2, LINE)
         single = [g2_broadband(i, j, t, MODES, SPEC2, LINE) for t in tau.tolist()]
         assert batch.shape == x.shape
         assert batch == pytest.approx(single, rel=1e-13, abs=0.0)
-        checked = g2_broadband(i, j, tau, MODES, SPEC2, LINE, check=True)
-        assert np.array_equal(checked, batch)
+        assert batch == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_g2_broadband_decays_smoothly():
-    cfg = SpectralConfig(omega_d=OMEGA_D, line=LINE)
     values = [
-        g2_broadband(0, 0, float(x) / OMEGA_D, MODES, SPEC2, LINE, check=False)
-        for x in cfg.tau_grid[:64]
+        g2_broadband(0, 0, float(x) / OMEGA_D, MODES, SPEC2, LINE)
+        for x in TAU_GRID[:64]
     ]
     diffs = np.abs(np.diff(values)) / values[0]
     assert np.max(diffs) < 0.05
@@ -231,19 +235,19 @@ def test_g2_broadband_ratio_stable_in_delay():
     ratios = []
     for x in (0.0, 2.0, 5.0, 9.0):
         tau = x / OMEGA_D
-        g11 = g2_broadband(0, 0, tau, MODES, SPEC2, LINE, check=False)
-        g12 = g2_broadband(0, 1, tau, MODES, SPEC2, LINE, check=False)
+        g11 = g2_broadband(0, 0, tau, MODES, SPEC2, LINE)
+        g12 = g2_broadband(0, 1, tau, MODES, SPEC2, LINE)
         ratios.append(g12 / g11)
     assert max(ratios) - min(ratios) < 0.05 * max(ratios)
 
 
 def test_normalized_g2_zeros_match_band_centre_zeros():
     noon = modes_at(math.pi / 4.0, math.atan(0.25))
-    assert g2_broadband_normalized(0, 1, noon, SPEC2, LINE) == pytest.approx(
+    assert g2_broadband_normalized(0, 1, noon, SPEC2) == pytest.approx(
         0.0, abs=1e-12
     )
     anti = modes_at(math.pi / 4.0, math.atan(-0.2))
-    assert g2_broadband_normalized(0, 0, anti, SPEC2, LINE) == pytest.approx(
+    assert g2_broadband_normalized(0, 0, anti, SPEC2) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -252,7 +256,7 @@ def test_normalized_g2_exceeds_one_somewhere():
     values = []
     for theta in np.linspace(0.1, math.pi - 0.1, 60):
         modes = modes_at(math.pi / 4.0, float(theta))
-        values.append(g2_broadband_normalized(0, 0, modes, SPEC2, LINE))
+        values.append(g2_broadband_normalized(0, 0, modes, SPEC2))
     assert max(values) > 1.0
     assert max(values) <= 4.0 / 3.0 + 1e-9
 
@@ -260,17 +264,12 @@ def test_normalized_g2_exceeds_one_somewhere():
 def test_normalized_g2_needs_intensity():
     silent = modes_at(math.pi / 4.0, 0.9, da0=0.0)
     with pytest.raises(ZeroIntensity):
-        g2_broadband_normalized(0, 0, silent, SPEC2, LINE)
+        g2_broadband_normalized(0, 0, silent, SPEC2)
 
 
-def test_spectral_config_grid_excludes_endpoints():
-    cfg = SpectralConfig(omega_d=OMEGA_D, line=LINE, resolution=64)
-    grid = cfg.omega_grid()
-    assert len(grid) == 64
+def test_omega_grid_excludes_endpoints():
+    grid = omega_grid(OMEGA_D)
+    assert len(grid) == 2048
     assert grid[0] > 0.0
     assert grid[-1] < OMEGA_D
-
-
-def test_spectral_config_rejects_tiny_resolution():
-    with pytest.raises(ValueError):
-        SpectralConfig(omega_d=OMEGA_D, line=LINE, resolution=8)
+    assert np.allclose(np.diff(grid), OMEGA_D / 2049.0, rtol=1e-9, atol=0.0)
