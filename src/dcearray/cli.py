@@ -27,6 +27,7 @@ from .correlations import (
 from .drive import DriveParams, LineParams, calibrate_da0_over_grid, mode_response
 from .errors import (
     ConfigError,
+    CutoffTooSmall,
     DceArrayError,
     MissingRequired,
     RangeError,
@@ -477,6 +478,11 @@ def _run_calibrate(config: RunConfig) -> tuple:
     return lines, 0
 
 
+# oracle-check takes the first of these registers that holds the state, as
+# acceptance criterion 6 does; the last covers the corner of its box
+_ORACLE_CUTOFFS = (16, 20, 24, 28, 32)
+
+
 def _run_oracle_check(config: RunConfig) -> tuple:
     """Compare Wick-path moments and rho against the dense Fock oracle."""
     if config.topology.n != 2:
@@ -486,9 +492,16 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     temp = config.temperatures[0]
     state = output_gaussian(modes, spectrum, temp)
     n_t = thermal_occupation(config.omega_d / 2.0, temp)
-    ref = oracle.build_state(
-        modes.eps, spectrum.modes, n_thermal=n_t, cutoff=16, deficit_tol=1e-6
-    )
+    for cutoff in _ORACLE_CUTOFFS:
+        try:
+            ref = oracle.build_state(
+                modes.eps, spectrum.modes, n_thermal=n_t, cutoff=cutoff,
+                deficit_tol=1e-6,
+            )
+            break
+        except CutoffTooSmall:
+            if cutoff == _ORACLE_CUTOFFS[-1]:
+                raise
 
     moment_err = 0.0
     for word in (

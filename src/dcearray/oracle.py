@@ -5,21 +5,32 @@ sinh(r_n) = eps_n and squeeze phase chosen so that
 <b_n b_n> = -i eps_n sqrt(1 + eps_n^2) (1 + 2 N_T), matching the exact
 Bogoliubov embedding of quantum_state.  The truncated squeeze operator
 exp(-i H), H = (r_n/2)(b_n^2 + b_n^dag^2), comes from the eigenvectors of
-the real symmetric H.  Besides the density matrix rho, a state keeps the
-exact factor F = (x)_n S_n diag(sqrt(w_n)) with rho = F F^dag, where S_n
-is the squeeze and w_n the thermal weights (columns of zero weight are
+the real symmetric H.  The state is a product over modes, and a state
+keeps each mode's density matrix rho_n = S_n diag(w_n) S_n^dag and its
+exact factor F_n = S_n diag(sqrt(w_n)), rho_n = F_n F_n^dag, where S_n is
+the squeeze and w_n the thermal weights (columns of zero weight are
 dropped, nothing else).  Waveguide operators are the orthogonal
-combinations a_i = sum_n c_n^i b_n.  :func:`moment` multiplies them as
-dense matrices; :func:`normal_moments` and the number states of
-:func:`fock_element` and :func:`fock_block` apply them as slice shifts on
-the mode axes of F or of a state vector, so the two paths check each
-other.  Test oracle only: numpy alone, at most three modes.
+combinations a_i = sum_n c_n^i b_n.
+
+Two paths check each other:
+
+* per mode, on each mode's own cutoff + 1 levels: :func:`normal_moments`
+  and :func:`fock_block`.  Truncated ladders of different modes commute,
+  so a product of a_i (or of a_i^dag on the vacuum) expands exactly as
+  sum_p C[p] prod_n b_n^p_n with real coefficients C, and each value is
+  C (x)_n T_n C^T for small per-mode tables T_n;
+* dense, on the whole local_dim^n register: :func:`moment` and
+  :func:`fock_element` multiply the waveguide matrices ``a_ops`` and the
+  density matrix ``rho``, which a state builds only on first use.
+
+Test oracle only: numpy alone, at most three modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -48,8 +59,13 @@ def _local_dim(n_modes: int, cutoff: int) -> int:
     return cutoff + 1
 
 
+def _lowering(local_dim: int) -> np.ndarray:
+    """The truncated annihilation operator b of one mode."""
+    return np.diag(np.sqrt(np.arange(1, local_dim)), k=1)
+
+
 class FockSpace:
-    """Dense ladder operators for a small register of truncated modes."""
+    """A small register of truncated modes."""
 
     def __init__(self, n_modes: int, cutoff: int = 8):
         self.n_modes = n_modes
@@ -57,15 +73,15 @@ class FockSpace:
         self.local_dim = _local_dim(n_modes, cutoff)
         self.dim = self.local_dim**n_modes
 
-        a = np.diag(np.sqrt(np.arange(1, self.local_dim)), k=1)
+    @cached_property
+    def lower(self) -> list:
+        """Dense dim x dim ladder b_n of each mode on the whole register."""
+        a = _lowering(self.local_dim)
         eye = np.eye(self.local_dim)
-        self.lower = []
-        for m in range(n_modes):
-            factors = [a if k == m else eye for k in range(n_modes)]
-            op = factors[0]
-            for f in factors[1:]:
-                op = np.kron(op, f)
-            self.lower.append(op)
+        return [
+            reduce(np.kron, [a if k == m else eye for k in range(self.n_modes)])
+            for m in range(self.n_modes)
+        ]
 
     def vacuum(self) -> np.ndarray:
         vec = np.zeros(self.dim)
@@ -75,19 +91,26 @@ class FockSpace:
 
 @dataclass
 class OracleState:
-    """Density matrix in the normal-mode basis plus waveguide operators."""
+    """Product state of the normal modes plus waveguide operators."""
 
     space: FockSpace
-    rho: np.ndarray
-    a_ops: list  # waveguide annihilation operators a_i = sum_n c_n^i b_n
     c_matrix: np.ndarray  # c_matrix[n, i] = c_n^i
-    factor: np.ndarray  # F with rho = F F^dag, one column per kept Fock product
+    mode_rhos: list  # rho_n of each mode on its local_dim levels
+    factors: list  # F_n with rho_n = F_n F_n^dag, one column per kept level
 
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Dense density matrix (x)_n rho_n of the whole register."""
+        return reduce(np.kron, self.mode_rhos)
 
-# Factor columns per pass of normal_moments.  It bounds the memory of the
-# operator products held at once: 35 products of dim x 64 complex numbers
-# for three modes up to total 4.
-_BLOCK = 64
+    @cached_property
+    def a_ops(self) -> list:
+        """Dense waveguide annihilation operators a_i = sum_n c_n^i b_n."""
+        n_modes = self.space.n_modes
+        return [
+            sum(self.c_matrix[n, i] * self.space.lower[n] for n in range(n_modes))
+            for i in range(n_modes)
+        ]
 
 
 def _thermal_weights(local_dim: int, n_thermal: float, deficit_tol: float):
@@ -110,7 +133,7 @@ def _squeeze(r: float, local_dim: int) -> np.ndarray:
     H is real symmetric, so exp(-i H) = V diag(e^{-i lambda}) V^T from
     its eigendecomposition H = V diag(lambda) V^T.
     """
-    lower = np.diag(np.sqrt(np.arange(1, local_dim)), k=1)
+    lower = _lowering(local_dim)
     pair = lower @ lower
     lam, vec = np.linalg.eigh(0.5 * r * (pair + pair.T))
     return (vec * np.exp(-1j * lam)) @ vec.T
@@ -137,10 +160,10 @@ def build_state(
     local_dim = _local_dim(n_modes, cutoff)
 
     # Both checks need one mode's levels only, so a too-small cutoff is
-    # rejected before FockSpace builds its dense register ladders.
+    # rejected before any register is set up.
     weights = _thermal_weights(local_dim, n_thermal, deficit_tol)
     kept = weights > 0.0
-    rho = factor = None
+    mode_rhos, factors = [], []
     for e in eps:
         r = math.asinh(float(e))
         squeeze = _squeeze(r, local_dim) if r else np.eye(local_dim)
@@ -150,17 +173,13 @@ def build_state(
             raise CutoffTooSmall(
                 f"top Fock level holds {top:.3g} > {deficit_tol:g} after squeezing"
             )
-        factor_n = squeeze[:, kept] * np.sqrt(weights[kept])
-        rho = rho_n if rho is None else np.kron(rho, rho_n)
-        factor = factor_n if factor is None else np.kron(factor, factor_n)
-
-    space = FockSpace(n_modes, cutoff)
-    a_ops = []
-    for i in range(n_modes):
-        op = sum(c_matrix[n, i] * space.lower[n] for n in range(n_modes))
-        a_ops.append(op)
+        mode_rhos.append(rho_n)
+        factors.append(squeeze[:, kept] * np.sqrt(weights[kept]))
     return OracleState(
-        space=space, rho=rho, a_ops=a_ops, c_matrix=c_matrix, factor=factor
+        space=FockSpace(n_modes, cutoff),
+        c_matrix=c_matrix,
+        mode_rhos=mode_rhos,
+        factors=factors,
     )
 
 
@@ -177,45 +196,56 @@ def moment(state: OracleState, word) -> complex:
     return complex(np.sum(state.rho * op.T))
 
 
-def _ladder(x: np.ndarray, coeffs, dagger: bool = False) -> np.ndarray:
-    """a = sum_n coeffs[n] b_n, or a^dag, applied along the leading mode axes of x.
+def _expansion(c_matrix: np.ndarray, words, power: int) -> np.ndarray:
+    """Rows C[w] with prod_i a_i^w_i = sum_p C[w, p] prod_n b_n^p_n.
 
-    Each b_n is a slice shift on mode axis n, (b_n x)[k - 1] = sqrt(k) x[k]
-    and (b_n^dag x)[k] = sqrt(k) x[k - 1]: the truncated ladders of
-    FockSpace.  Trailing axes (columns of F) ride along.
+    p runs over the per-mode powers 0..power of every mode, flattened in
+    C order as np.kron orders the per-mode tables.  A word grows from a
+    shorter one by one factor a_i = sum_n c_n^i b_n, which raises p_n by
+    one with weight c_n^i; no power exceeds the word's total <= power.
     """
-    out = None
-    root = np.sqrt(np.arange(1.0, x.shape[0]))
-    for n, c in enumerate(coeffs):
-        if c != 0.0:
-            scale = (c * root).reshape((-1,) + (1,) * (x.ndim - n - 1))
-            axis = (slice(None),) * n
-            upper = axis + (slice(1, None),)
-            lower = axis + (slice(None, -1),)
-            src, dst, edge = (lower, upper, 0) if dagger else (upper, lower, -1)
-            if out is None:  # the first term fills out without a zero pass
-                out = np.empty_like(x)
-                np.multiply(scale, x[src], out=out[dst])
-                out[axis + (edge,)] = 0.0
-            else:
-                out[dst] += scale * x[src]
-    return np.zeros_like(x) if out is None else out
+    n_modes = c_matrix.shape[0]
+    vacuum = np.zeros((power + 1,) * n_modes)
+    vacuum[(0,) * n_modes] = 1.0
+    rows = {(0,) * n_modes: vacuum}
+
+    def row(word):
+        if word not in rows:
+            i = next(i for i, k in enumerate(word) if k)
+            shorter = row(word[:i] + (word[i] - 1,) + word[i + 1:])
+            grown = np.zeros_like(shorter)
+            for n in range(n_modes):
+                axis = (slice(None),) * n
+                grown[axis + (slice(1, None),)] += (
+                    c_matrix[n, i] * shorter[axis + (slice(None, -1),)]
+                )
+            rows[word] = grown
+        return rows[word]
+
+    return np.array([row(word).reshape(-1) for word in words])
 
 
-def _lowering_products(x: np.ndarray, c_matrix, max_total: int) -> dict:
-    """B_m x = prod_i a_i^m_i x for every multi-index m with |m| <= max_total.
+def _moment_table(factor: np.ndarray, power: int) -> np.ndarray:
+    """G[p, q] = vdot(b^p F, b^q F) = Tr[rho_n b^dag^p b^q] for p, q <= power."""
+    lower = _lowering(len(factor))
+    shifted = [factor]
+    for _ in range(power):
+        shifted.append(lower @ shifted[-1])
+    flat = np.array(shifted).reshape(power + 1, -1)
+    return flat.conj() @ flat.T
 
-    Each product grows from one with a lower total by one ladder shift.
+
+def _number_table(rho_n: np.ndarray, power: int) -> np.ndarray:
+    """R[p, q] = sqrt(p! q!) rho_n[p, q] for p, q <= power, zero above the cutoff.
+
+    (b^dag)^p |0> = sqrt(p!) |p> on the truncated levels, and 0 once p
+    passes the top level.
     """
-    n_modes = c_matrix.shape[1]
-    products = {(0,) * n_modes: x}
-    for total in range(1, max_total + 1):
-        for index in [m for m in products if sum(m) == total - 1]:
-            for i in range(n_modes):
-                grown = index[:i] + (index[i] + 1,) + index[i + 1:]
-                if grown not in products:
-                    products[grown] = _ladder(products[index], c_matrix[:, i])
-    return products
+    out = np.zeros((power + 1, power + 1), dtype=rho_n.dtype)
+    size = min(power + 1, len(rho_n))
+    root = np.sqrt([float(math.factorial(p)) for p in range(size)])
+    out[:size, :size] = root[:, None] * rho_n[:size, :size] * root
+    return out
 
 
 def normal_moments(state: OracleState, totals=(2, 4)) -> dict:
@@ -223,36 +253,40 @@ def normal_moments(state: OracleState, totals=(2, 4)) -> dict:
 
     Returns ``{(dag_counts, low_counts): value}`` where the keys hold one
     creation and one annihilation count per waveguide and the value is
-    <prod_i a_i^dag^d_i prod_i a_i^k_i> = vdot(B_dag F, B_low F) with
-    B_m = prod_i a_i^m_i.  F is taken a fixed number of columns at a time,
-    so one pass serves all words in bounded memory, much cheaper than
-    calling :func:`moment` word by word.
+    <prod_i a_i^dag^d_i prod_i a_i^k_i> = <B_d^dag B_l> with
+    B_m = prod_i a_i^m_i.  With B_m = sum_p C[m, p] prod_n b_n^p_n and
+    rho = (x)_n F_n F_n^dag, every value is an entry of one table
+    C ((x)_n G_n) C^T, G_n[p, q] = vdot(b^p F_n, b^q F_n), computed on
+    each mode's own levels.
     """
-    shape = (state.space.local_dim,) * state.space.n_modes
-    out = {}
-    for start in range(0, state.factor.shape[1], _BLOCK):
-        block = state.factor[:, start:start + _BLOCK].reshape(shape + (-1,))
-        products = _lowering_products(block, state.c_matrix, max(totals))
-        keys = list(products)
-        for k, low in enumerate(keys):
-            for dag in keys[k:]:
-                if sum(dag) + sum(low) in totals:
-                    value = np.vdot(products[dag], products[low])
-                    out[dag, low] = out.get((dag, low), 0j) + value
-                    if dag != low:  # <B_low^dag B_dag> = conj <B_dag^dag B_low>
-                        out[low, dag] = out.get((low, dag), 0j) + value.conjugate()
-    return {word: complex(value) for word, value in out.items()}
+    power = max(totals)
+    words = [
+        word
+        for word in product(range(power + 1), repeat=state.space.n_modes)
+        if sum(word) <= power
+    ]
+    coeffs = _expansion(state.c_matrix, words, power)
+    tables = [_moment_table(factor, power) for factor in state.factors]
+    table = coeffs @ reduce(np.kron, tables) @ coeffs.T
+    return {
+        (dag, low): complex(table[d, k])
+        for d, dag in enumerate(words)
+        for k, low in enumerate(words)
+        if sum(dag) + sum(low) in totals
+    }
 
 
 def _number_vector(state: OracleState, counts) -> np.ndarray:
-    """prod_i (a_i^dag)^n_i / sqrt(n_i!) |0> for photon numbers ``counts``."""
-    shape = (state.space.local_dim,) * state.space.n_modes
-    vec = state.space.vacuum().reshape(shape)
-    for mode, count in enumerate(counts):
+    """prod_i (a_i^dag)^n_i / sqrt(n_i!) |0> on the dense register.
+
+    c is real, so a_i^dag is the transpose of a_i.
+    """
+    vec = state.space.vacuum()
+    for op, count in zip(state.a_ops, counts):
         for _ in range(count):
-            vec = _ladder(vec, state.c_matrix[:, mode], dagger=True)
+            vec = op.T @ vec
         vec = vec / math.sqrt(math.factorial(count))
-    return vec.reshape(-1)
+    return vec
 
 
 def fock_element(state: OracleState, bra, ket) -> complex:
@@ -267,9 +301,15 @@ def fock_block(state: OracleState, levels: int = 3) -> np.ndarray:
 
     Rows and columns run over the tuples (n_1, .., n_N) with each n_i in
     range(levels), in lexicographic order, so for two waveguides the result
-    is the 9x9 two-qutrit block.  The number vectors are built once and
-    reused, unlike repeated calls to :func:`fock_element`.
+    is the 9x9 two-qutrit block.  The number state of (n_i) is
+    sum_p C[n, p] / sqrt(prod_i n_i!) prod_n (b_n^dag)^p_n |0>, so the
+    block is C' ((x)_n R_n) C'^T with R_n[p, q] = sqrt(p! q!) rho_n[p, q],
+    computed on each mode's own levels.
     """
-    counts = product(range(levels), repeat=state.space.n_modes)
-    basis = np.array([_number_vector(state, ns) for ns in counts]).T
-    return basis.conj().T @ state.rho @ basis
+    n_modes = state.space.n_modes
+    power = n_modes * (levels - 1)
+    counts = list(product(range(levels), repeat=n_modes))
+    norms = np.array([math.prod(map(math.factorial, ns)) for ns in counts])
+    coeffs = _expansion(state.c_matrix, counts, power) / np.sqrt(norms)[:, None]
+    tables = [_number_table(rho_n, power) for rho_n in state.mode_rhos]
+    return coeffs @ reduce(np.kron, tables) @ coeffs.T

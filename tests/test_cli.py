@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dcearray import oracle
 from dcearray.cli import main, parse_config, run_sweep
 from dcearray.errors import MissingRequired, RangeError, UnknownKey
 
@@ -261,6 +262,33 @@ def test_oracle_check_subcommand(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     assert float(row[0]) < 1e-6
     assert float(row[1]) < 1e-6
+
+
+def test_oracle_check_escalates_its_cutoff(tmp_path, monkeypatch):
+    # a state that fits cutoff 16 keeps it; a stronger, warmer one takes the
+    # first register whose top level holds at most 1e-6 (cutoff 28, where
+    # the top level holds 1.9e-7).  There the fourth moments still carry
+    # the register's truncation, 2.4e-6; cutoff 32 would give 3.5e-7.
+    cutoffs = []
+    build = oracle.build_state
+
+    def counted(*args, **kwargs):
+        cutoffs.append(kwargs["cutoff"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_state", counted)
+    hot = ["--target-occupancy", "0.3", "--theta-rad", "1.3", "--temperature-mk", "25"]
+    for args, tried, moment_tol in (
+        (["--target-occupancy", "0.1", "--theta-rad", "0.6"], [16], 1e-6),
+        (hot, [16, 20, 24, 28], 3e-6),
+    ):
+        cutoffs.clear()
+        out = tmp_path / "oc.csv"
+        assert main(["oracle-check", *args, "--out", str(out)]) == 0
+        assert cutoffs == tried
+        moment_err, rho_err = map(float, out.read_text().splitlines()[1].split(","))
+        assert moment_err <= moment_tol
+        assert rho_err <= 1e-6
 
 
 def test_workers_env_does_not_change_output(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -122,11 +123,14 @@ def test_squeeze_matches_matrix_exponential(cutoff, eps):
 
 
 def test_normal_moments_match_single_calls():
-    # the factor-and-shift path against dense operator products, for two
-    # modes and for a three-mode thermal state
+    # the per-mode expansion against dense operator products, for two
+    # thermal modes, a three-mode thermal state, two modes at T = 0 (each
+    # F_n has rank one) and one mode
     for eps, c_matrix, n_thermal, cutoff, count in (
         ([0.2, -0.1], C2, 0.05, 12, 45),
         ([0.1, -0.08, 0.05], C3, 0.02, 6, 147),
+        ([0.2, -0.1], C2, 0.0, 12, 45),
+        ([0.2], np.eye(1), 0.05, 12, 8),
     ):
         state = build_state(
             eps, c_matrix, n_thermal=n_thermal, cutoff=cutoff, deficit_tol=1e-6
@@ -140,15 +144,45 @@ def test_normal_moments_match_single_calls():
 
 
 def test_fock_block_matches_single_elements():
-    state = build_state([0.15, 0.1], C2, n_thermal=0.02, cutoff=12, deficit_tol=1e-6)
-    block = fock_block(state, levels=3)
-    for n in range(3):
-        for m in range(3):
-            for n2 in range(3):
-                for m2 in range(3):
-                    assert block[3 * n + m, 3 * n2 + m2] == pytest.approx(
-                        fock_element(state, (n, m), (n2, m2)), abs=1e-14
-                    )
+    # the per-mode block against dense number vectors, also where the
+    # block's photon numbers pass the register's top level
+    for eps, c_matrix, n_thermal, cutoff in (
+        ([0.15, 0.1], C2, 0.02, 12),
+        ([1e-4, -1e-4], C2, 0.0, 2),
+        ([0.01, -0.008, 0.005], C3, 0.0, 4),
+    ):
+        state = build_state(
+            eps, c_matrix, n_thermal=n_thermal, cutoff=cutoff, deficit_tol=1e-6
+        )
+        block = fock_block(state, levels=3)
+        counts = list(product(range(3), repeat=len(eps)))
+        assert block.shape == (len(counts), len(counts))
+        for row, bra in enumerate(counts):
+            for col, ket in enumerate(counts):
+                assert block[row, col] == pytest.approx(
+                    fock_element(state, bra, ket), abs=1e-14
+                )
+
+
+def test_per_mode_paths_leave_the_dense_register_unbuilt():
+    # the corner of criterion 6's box at cutoff 32: a 1089-dim register
+    state = build_state(
+        [0.3, -0.3], C2, n_thermal=0.2, cutoff=32, deficit_tol=1e-9
+    )
+    normal_moments(state, totals=(2, 4))
+    fock_block(state, levels=3)
+    assert not {"rho", "a_ops"} & set(vars(state))
+    assert "lower" not in vars(state.space)
+    # the dense operators, built on a later call, agree with the table
+    state = build_state(
+        [0.3, -0.3], C2, n_thermal=0.2, cutoff=20, deficit_tol=1e-6
+    )
+    table = normal_moments(state, totals=(2, 4))
+    assert not {"rho", "a_ops"} & set(vars(state))
+    for (dag, low), value in table.items():
+        word = [(i, True) for i, d in enumerate(dag) for _ in range(d)]
+        word += [(i, False) for i, k in enumerate(low) for _ in range(k)]
+        assert value == pytest.approx(moment(state, word), abs=1e-12)
 
 
 def test_fock_element_matches_moment_structure():
