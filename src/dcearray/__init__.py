@@ -13,9 +13,7 @@ from .drive import (
     DriveParams,
     LineParams,
     ModeResponse,
-    calibrate_da0,
     calibrate_da0_over_grid,
-    flux_to_energy,
     mode_response,
 )
 from .lattice import (

@@ -29,9 +29,7 @@ __all__ = [
     "LineParams",
     "ModeResponse",
     "mode_response",
-    "calibrate_da0",
     "calibrate_da0_over_grid",
-    "flux_to_energy",
 ]
 
 PERTURBATIVE_RATIO = 0.1
@@ -66,9 +64,8 @@ class DriveParams:
 class LineParams:
     """Characteristic impedance and phase velocity of each waveguide."""
 
-    z0: float                          # ohm
-    v: float                           # m/s
-    flux_quantum: float = FLUX_QUANTUM # Wb
+    z0: float   # ohm
+    v: float    # m/s
 
     def __post_init__(self):
         if self.z0 <= 0 or self.v <= 0:
@@ -115,7 +112,7 @@ def mode_response(
         )
     theta = np.asarray(drive.theta, dtype=float)[..., None]  # (K, 1) or (1,)
     dlambda = drive.da0 * (np.sin(theta) + lam * np.cos(theta))
-    delta_l = (line.flux_quantum / (2.0 * math.pi)) ** 2 * dlambda / (
+    delta_l = (FLUX_QUANTUM / (2.0 * math.pi)) ** 2 * dlambda / (
         line.l0 * lambda0**2
     )
     eps = drive.omega_d / (2.0 * line.v) * delta_l
@@ -129,21 +126,6 @@ def mode_response(
     )
 
 
-def calibrate_da0(
-    drive: DriveParams,
-    line: LineParams,
-    spectrum: LaplacianSpectrum,
-    target_max_occupancy: float,
-) -> DriveParams:
-    """Rescale da0 so the largest waveguide intensity equals the target at T=0.
-
-    The one-point case of :func:`calibrate_da0_over_grid`, at ``drive.theta``.
-    """
-    return calibrate_da0_over_grid(
-        drive, line, spectrum, [drive.theta], target_max_occupancy
-    )
-
-
 def calibrate_da0_over_grid(
     drive: DriveParams,
     line: LineParams,
@@ -151,34 +133,22 @@ def calibrate_da0_over_grid(
     thetas: np.ndarray,
     target_max_occupancy: float,
 ) -> DriveParams:
-    """Calibrate da0 against the intensity maximum over a theta grid.
+    """Rescale da0 so the largest intensity over a theta grid meets the target.
 
     Mirrors the figure convention of choosing amplitudes once per sweep so
-    that max_i <a_i^dag a_i> never exceeds the target at T=0.  Intensities
-    scale exactly as da0^2, so one evaluation of the whole grid fixes the
-    scale.  Lambda0 does not depend on theta, so a working point with a
-    non-positive mode energy fails at every grid point and raises
+    that max_i <a_i^dag a_i> never exceeds the target at T=0.  ``thetas``
+    may also be a single angle, which calibrates that one point.
+    Intensities scale exactly as da0^2, so one evaluation of the whole grid
+    fixes the scale.  Lambda0 does not depend on theta, so a working point
+    with a non-positive mode energy fails at every grid point and raises
     NonPositiveModeEnergy.
     """
     if not 0.0 < target_max_occupancy < 1.0:
         raise ValueError("target occupancy must lie in (0, 1)")
     if drive.da0 <= 0:
         raise ValueError("need a positive da0 seed")
-    eps = mode_response(replace(drive, theta=thetas), line, spectrum).eps  # (K, N)
+    eps = mode_response(replace(drive, theta=thetas), line, spectrum).eps
     peak = float(np.max(eps**2 @ spectrum.modes**2))  # max over theta and guide
     if peak == 0.0:
         raise NoResponse("no grid point produces a nonzero response")
     return replace(drive, da0=drive.da0 * math.sqrt(target_max_occupancy / peak))
-
-
-def flux_to_energy(
-    phi_flux: float, ej_max: float, flux_quantum: float = FLUX_QUANTUM
-) -> float:
-    """Standard SQUID flux-to-energy relation E = EJmax |cos(pi Phi / phi0)|.
-
-    Convenience for building example configurations; the core math works
-    directly with the abstract amplitudes A0, dA0.
-    """
-    if ej_max <= 0:
-        raise ValueError("ej_max must be positive")
-    return ej_max * abs(math.cos(math.pi * phi_flux / flux_quantum))

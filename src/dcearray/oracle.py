@@ -15,15 +15,16 @@ combinations a_i = sum_n c_n^i b_n.
 Two paths check each other:
 
 * per mode, on each mode's own cutoff + 1 levels: :func:`normal_moments`
-  and :func:`fock_block`.  Truncated ladders of different modes commute,
-  so a product of a_i (or of a_i^dag on the vacuum) expands exactly as
-  sum_p C[p] prod_n b_n^p_n with real coefficients C, and each value is
-  C (x)_n T_n C^T for small per-mode tables T_n;
+  and :func:`fock_block`, which ``oracle-check`` uses.  Truncated ladders
+  of different modes commute, so a product of a_i (or of a_i^dag on the
+  vacuum) expands exactly as sum_p C[p] prod_n b_n^p_n with real
+  coefficients C, and each value is C (x)_n T_n C^T for small tables T_n;
 * dense, on the whole local_dim^n register: :func:`moment` and
   :func:`fock_element` multiply the waveguide matrices ``a_ops`` and the
-  density matrix ``rho``, which a state builds only on first use.
+  density matrix ``rho``, which a state builds only on first use.  It is
+  the independent check of the other path, for the tests and the bench.
 
-Test oracle only: numpy alone, at most three modes.
+Numpy alone, at most three modes.
 """
 
 from __future__ import annotations

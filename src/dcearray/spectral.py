@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .constants import HBAR
-from .correlations import g2_zero_temperature, intensities
+from .correlations import CorrelationSet, intensities
 from .drive import LineParams, ModeResponse
 from .errors import with_errors
 from .lattice import LaplacianSpectrum
@@ -167,9 +167,7 @@ def g2_broadband(
     return (2.0 * kappa * np.abs(kernel) / modes.omega_d * m_ij) ** 2
 
 
-def g2_broadband_normalized(
-    i: int, j: int, modes: ModeResponse, spectrum: LaplacianSpectrum
-):
+def g2_broadband_normalized(corr: CorrelationSet, i: int, j: int):
     """Dimensionless zero-delay broadband correlation G2_ij(0)/sqrt(G1_i G1_j).
 
     The voltage correlators are expressed in units of the single-photon
@@ -177,8 +175,8 @@ def g2_broadband_normalized(
     (hbar Z0 / 4 pi) (w_d / 2)^2, making it dimensionless and free of the
     line.  It equals 4/3 times the band-centre g2_ij at T = 0, so unlike
     that g2 it is not bounded by one (it peaks at 4/3 for two waveguides).
-    A point or a batch of points, with the per-point errors of
-    :func:`~dcearray.correlations.g2_zero_temperature`.
+    ``corr`` is the T = 0 set of
+    :func:`~dcearray.correlations.g2_zero_temperature`, at a point or over
+    a batch; its failed points hold their errors.
     """
-    corr = g2_zero_temperature(modes, spectrum)
     return with_errors(4.0 / 3.0 * corr.g2(i, j), corr.errors)

@@ -389,7 +389,9 @@ def test_criterion_7_spectral_module():
     zero_gap = max(abs(cross_band - cross_bb), abs(same_band - same_bb))
 
     peak = max(
-        g2_broadband_normalized(0, 0, modes_at(math.pi / 4.0, float(t)), SPEC2)
+        g2_broadband_normalized(
+            g2_zero_temperature(modes_at(math.pi / 4.0, float(t)), SPEC2), 0, 0
+        )
         for t in np.linspace(0.1, math.pi - 0.1, 60)
     )
 
@@ -454,8 +456,8 @@ def test_criterion_8_eigensolver():
         f_a = photon_flux_density(0, w, m_a, s_a, 0.0)
         f_b = photon_flux_density(0, w, m_b, s_b, 0.0)
         worst_obs = max(worst_obs, abs(f_a - f_b) / f_a)
-        g_a = g2_broadband_normalized(0, 1, m_a, s_a)
-        g_b = g2_broadband_normalized(0, 1, m_b, s_b)
+        g_a = g2_broadband_normalized(c_a, 0, 1)
+        g_b = g2_broadband_normalized(c_b, 0, 1)
         worst_obs = max(worst_obs, abs(g_a - g_b))
 
     ok = worst_eig <= 1e-10 and worst_obs <= 1e-10

@@ -291,6 +291,44 @@ def test_oracle_check_escalates_its_cutoff(tmp_path, monkeypatch):
         assert rho_err <= 1e-6
 
 
+def test_oracle_check_builds_no_dense_register(tmp_path, monkeypatch):
+    # the moments come from the per-mode tables, so the dense rho, a_ops
+    # and register ladders of the warm cutoff-28 state are never formed
+    states = []
+    build = oracle.build_state
+
+    def kept(*args, **kwargs):
+        states.append(build(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(oracle, "build_state", kept)
+    args = ["oracle-check", "--target-occupancy", "0.3", "--theta-rad", "1.3",
+            "--temperature-mk", "25", "--out", str(tmp_path / "oc.csv")]
+    assert main(args) == 0
+    (ref,) = states
+    assert "rho" not in vars(ref)
+    assert "a_ops" not in vars(ref)
+    assert "lower" not in vars(ref.space)
+
+
+def test_unknown_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_flags_may_come_before_the_command(tmp_path):
+    flags = ["--target-occupancy", "0.1", "--theta-steps", "3"]
+    outputs = []
+    orders = (["--n", "2", "sweep", *flags], ["sweep", "--n", "2", *flags])
+    for k, argv in enumerate(orders):
+        out = tmp_path / f"{k}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_workers_env_does_not_change_output(tmp_path, monkeypatch):
     args = [
         "sweep",
@@ -447,6 +485,15 @@ def test_sweep_evaluates_each_temperature_once(monkeypatch):
     _, failures = run_sweep(cfg)
     assert failures == 0
     assert calls == {"mode_response": 1, "density_matrix": 2}
+
+
+def test_broadband_builds_one_correlation_set(tmp_path, monkeypatch):
+    # both columns read the same T = 0 set
+    calls = _count_calls(monkeypatch, "g2_zero_temperature")
+    args = ["broadband", "--target-occupancy", "0.1", "--theta-steps", "50",
+            "--out", str(tmp_path / "bb.csv")]
+    assert main(args) == 0
+    assert calls == {"g2_zero_temperature": 1}
 
 
 def test_broadband_evaluates_the_grid_once(tmp_path, monkeypatch):

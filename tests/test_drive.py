@@ -7,9 +7,7 @@ from dcearray.constants import FLUX_QUANTUM
 from dcearray.drive import (
     DriveParams,
     LineParams,
-    calibrate_da0,
     calibrate_da0_over_grid,
-    flux_to_energy,
     mode_response,
 )
 from dcearray.errors import NonPositiveModeEnergy
@@ -125,13 +123,14 @@ def test_calibration_halves_da0_for_quarter_target():
     weights = spec.modes**2
     resp = mode_response(d, LINE, spec)
     peak = float(np.max(weights.T @ resp.eps**2))
-    cal = calibrate_da0(d, LINE, spec, peak / 4.0)
+    cal = calibrate_da0_over_grid(d, LINE, spec, [d.theta], peak / 4.0)
     assert cal.da0 == pytest.approx(d.da0 / 2.0, rel=1e-12)
 
 
 def test_calibration_reaches_fixed_point():
     spec = two_guide_spectrum()
-    cal = calibrate_da0(drive(math.pi / 4.0, 0.7), LINE, spec, 0.1)
+    d = drive(math.pi / 4.0, 0.7)
+    cal = calibrate_da0_over_grid(d, LINE, spec, [d.theta], 0.1)
     resp = mode_response(cal, LINE, spec)
     weights = spec.modes**2
     assert float(np.max(weights.T @ resp.eps**2)) == pytest.approx(0.1, abs=1e-12)
@@ -141,7 +140,7 @@ def test_point_calibration_is_the_one_point_grid():
     spec = two_guide_spectrum()
     d = drive(math.pi / 4.0, 0.7)
     grid = calibrate_da0_over_grid(d, LINE, spec, [d.theta], 0.1)
-    assert calibrate_da0(d, LINE, spec, 0.1).da0 == grid.da0
+    assert calibrate_da0_over_grid(d, LINE, spec, d.theta, 0.1).da0 == grid.da0
 
 
 def test_grid_calibration_bounds_every_point():
@@ -181,9 +180,3 @@ def test_theta_array_equals_per_angle_calls(topology):
         # each row is the one-angle call, to the last bit
         rows = np.array([getattr(point, field) for point in points])
         assert np.array_equal(getattr(grid, field), rows)
-
-
-def test_flux_to_energy_special_points():
-    assert flux_to_energy(0.0, 2.0) == 2.0
-    assert flux_to_energy(FLUX_QUANTUM / 2.0, 2.0) == pytest.approx(0.0, abs=1e-15)
-    assert flux_to_energy(FLUX_QUANTUM / 3.0, 2.0) == pytest.approx(1.0, rel=1e-12)

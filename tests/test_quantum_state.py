@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from dcearray import oracle
-from dcearray.drive import DriveParams, LineParams, calibrate_da0, mode_response
+from dcearray.drive import (
+    DriveParams,
+    LineParams,
+    calibrate_da0_over_grid,
+    mode_response,
+)
 from dcearray.errors import NotNormalized, NotNormalOrdered
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.quantum_state import (
@@ -333,7 +338,7 @@ def test_maximally_entangled_overlaps():
 
 def test_wick_density_matrix_tracks_perturbative_state():
     d = DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=0.9, omega_d=OMEGA_D)
-    d = calibrate_da0(d, LINE, SPEC2, 0.01)
+    d = calibrate_da0_over_grid(d, LINE, SPEC2, [d.theta], 0.01)
     modes = mode_response(d, LINE, SPEC2)
     eps2 = float(np.max(modes.eps**2))
     pert = perturbative_density_matrix(modes, SPEC2)
@@ -343,7 +348,7 @@ def test_wick_density_matrix_tracks_perturbative_state():
 
 def test_purity_at_calibrated_amplitude():
     d = DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=1.2, omega_d=OMEGA_D)
-    d = calibrate_da0(d, LINE, SPEC2, 0.1)
+    d = calibrate_da0_over_grid(d, LINE, SPEC2, [d.theta], 0.1)
     modes = mode_response(d, LINE, SPEC2)
     tdm = density_matrix(output_gaussian(modes, SPEC2, 0.0), post_select=True)
     purity = float(np.real(np.trace(tdm.rho @ tdm.rho)))

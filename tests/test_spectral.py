@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from dcearray.constants import HBAR
+from dcearray.correlations import g2_zero_temperature
 from dcearray.drive import DriveParams, LineParams, mode_response
 from dcearray.errors import ZeroIntensity
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
@@ -242,21 +243,17 @@ def test_g2_broadband_ratio_stable_in_delay():
 
 
 def test_normalized_g2_zeros_match_band_centre_zeros():
-    noon = modes_at(math.pi / 4.0, math.atan(0.25))
-    assert g2_broadband_normalized(0, 1, noon, SPEC2) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    anti = modes_at(math.pi / 4.0, math.atan(-0.2))
-    assert g2_broadband_normalized(0, 0, anti, SPEC2) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    noon = g2_zero_temperature(modes_at(math.pi / 4.0, math.atan(0.25)), SPEC2)
+    assert g2_broadband_normalized(noon, 0, 1) == pytest.approx(0.0, abs=1e-12)
+    anti = g2_zero_temperature(modes_at(math.pi / 4.0, math.atan(-0.2)), SPEC2)
+    assert g2_broadband_normalized(anti, 0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normalized_g2_exceeds_one_somewhere():
     values = []
     for theta in np.linspace(0.1, math.pi - 0.1, 60):
         modes = modes_at(math.pi / 4.0, float(theta))
-        values.append(g2_broadband_normalized(0, 0, modes, SPEC2))
+        values.append(g2_broadband_normalized(g2_zero_temperature(modes, SPEC2), 0, 0))
     assert max(values) > 1.0
     assert max(values) <= 4.0 / 3.0 + 1e-9
 
@@ -264,7 +261,7 @@ def test_normalized_g2_exceeds_one_somewhere():
 def test_normalized_g2_needs_intensity():
     silent = modes_at(math.pi / 4.0, 0.9, da0=0.0)
     with pytest.raises(ZeroIntensity):
-        g2_broadband_normalized(0, 0, silent, SPEC2)
+        g2_broadband_normalized(g2_zero_temperature(silent, SPEC2), 0, 0)
 
 
 def test_omega_grid_excludes_endpoints():
