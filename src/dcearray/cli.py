@@ -32,7 +32,6 @@ from .errors import (
     MissingRequired,
     RangeError,
     UnknownKey,
-    with_errors,
 )
 from .lattice import ArrayTopology, build_laplacian, eigendecompose
 from .quantum_state import (
@@ -187,8 +186,8 @@ def parse_config(
 ) -> RunConfig:
     """Parse and validate a key=value config, with optional layered overrides.
 
-    ``command`` names the subcommand the config is for: ``entangle`` puts
-    its own observables in place of sweep-only ones.
+    ``command`` names the subcommand: ``entangle`` puts its own observables in
+    place of sweep-only ones; a theta grid or temperature it ignores is an error.
     """
     raw = dict(DEFAULTS)
     raw.update(_parse_pairs(text))
@@ -260,6 +259,12 @@ def parse_config(
         if t_mk < 0:
             raise RangeError(f"temperature_mk must be non-negative, got {t_mk}")
         temps.append(t_mk * 1e-3)  # millikelvin to kelvin
+    if command in ("spectrum", "time-delay", "oracle-check") and len(thetas) > 1:
+        raise RangeError(f"{command} reads one theta, got a grid of {len(thetas)}")
+    if command in ("time-delay", "broadband") and temps != [0.0]:
+        raise RangeError(f"{command} reads no temperature; temperature_mk must be 0")
+    if command == "oracle-check" and len(temps) > 1:
+        raise RangeError(f"oracle-check reads one temperature, got {len(temps)}")
 
     observables = [tok.strip() for tok in raw["observables"].split(",")]
     for tok in observables:
@@ -326,46 +331,51 @@ def _modes(config: RunConfig, spectrum, drive, theta):
 
 
 def _point_values(specs, modes, spectrum, temperature):
-    """Value columns of the parsed tokens ``specs`` over a batch, and its qutrit state.
+    """Float columns, failures by point and qutrit state of the tokens ``specs``.
 
-    A state is built when a token first reads it.  A failed point holds its
-    error in a cell, and the state's error comes before the value's, so in
-    token order the first error cell is the error a point evaluation raises.
+    A state is built when a token first reads it.  A failed point keeps its
+    first error in token order, the state's before the value's: the error a
+    point evaluation raises.  A ``with_errors`` column is split into floats.
     """
     states = {}
     columns = []
+    failed = {}
     for state, value, indices in specs:
         if state not in states:
             states[state] = state(modes, spectrum, temperature)
+            failed = {**states[state].errors, **failed}
         column = value(states[state], *indices)
-        columns.append(with_errors(column, states[state].errors).tolist())
-    return columns, states.get(_qutrit_state)
+        if column.dtype == object:  # errors in the cells of failed points
+            bad = [k for k, c in enumerate(column) if isinstance(c, DceArrayError)]
+            failed = {**{k: column[k] for k in bad}, **failed}
+            column[bad] = math.nan
+            column = column.astype(float)
+        columns.append(column)
+    return columns, failed, states.get(_qutrit_state)
 
 
-def _first_error(values):
-    return next((v for v in values if isinstance(v, DceArrayError)), None)
-
-
-def _tabulate(lead_columns, value_columns, rows) -> tuple:
+def _tabulate(lead_columns, value_columns, thetas, batches) -> tuple:
     """CSV lines of a grid: header, one row per point, status line.
 
-    ``rows`` pairs the leading cells of each row with its values.  A value
-    that is a DceArrayError fails the point: its value cells stay empty and
-    the first error's message goes to the trailing error column.  Returns
-    (lines, n_failures).
+    A batch (lead, columns, failed) gives each theta a row of the cells
+    ``lead`` and the columns of _point_values, by one ``%`` over a row
+    template per point; a failed row's value cells stay empty and its error's
+    message fills the trailing error column.  Returns (lines, n_failures).
     """
     lines = ["# " + ",".join([*lead_columns, *value_columns, "error"])]
-    values_ok = ",".join(["%.17g"] * len(value_columns)) + ","  # as _fmt
-    values_failed = "," * len(value_columns)
-    failures = 0
-    for lead, values in rows:
-        error = _first_error(values)
-        if error is None:
-            cells = values_ok % tuple(values)
-        else:
-            cells = f"{values_failed}{type(error).__name__}: {error}"
-            failures += 1
-        lines.append(",".join(lead) + "," + cells)
+    thetas = [_fmt(theta) for theta in thetas.tolist()]  # shared by the batches
+    width = len(value_columns) + 1
+    cells = [None] * (len(thetas) * width)
+    cells[::width] = thetas
+    for lead, columns, failed in batches:
+        for c, column in enumerate(columns, start=1):
+            cells[c::width] = column.tolist()
+        row = "%s" + lead + ",%.17g" * len(columns) + ","  # as _fmt
+        rows = ("\n".join([row] * len(thetas)) % tuple(cells)).split("\n")
+        for k, error in failed.items():
+            rows[k] = f"{thetas[k]}{lead}{',' * width}{type(error).__name__}: {error}"
+        lines.extend(rows)
+    failures = sum(len(failed) for _, _, failed in batches)
     status = f"partial ({failures} of {len(lines) - 1} points failed)"
     lines.append(f"# status: {status if failures else 'ok'}")
     return lines, failures
@@ -379,18 +389,15 @@ def _sweep(config: RunConfig, spectrum, drive) -> tuple:
     """
     specs = [_observable(token) for token in config.observables]
     modes = _modes(config, spectrum, drive, config.thetas)
-    thetas = [_fmt(theta) for theta in config.thetas.tolist()]
-    phi = _fmt(config.phi)
-    rows = []
+    batches = []
     first = None
     for temp in config.temperatures:
-        columns, tdm = _point_values(specs, modes, spectrum, temp)
-        lead = [[theta, phi, _fmt(temp * 1e3)] for theta in thetas]
-        if not rows and tdm is not None and _first_error(next(zip(*columns))) is None:
+        columns, failed, tdm = _point_values(specs, modes, spectrum, temp)
+        if not batches and tdm is not None and 0 not in failed:
             first = tdm.rho[0]
-        rows.extend(zip(lead, zip(*columns)))
+        batches.append((f",{_fmt(config.phi)},{_fmt(temp * 1e3)}", columns, failed))
     lines, failures = _tabulate(
-        ("theta", "phi", "temperature_mk"), config.observables, rows
+        ("theta", "phi", "temperature_mk"), config.observables, config.thetas, batches
     )
     return lines, failures, first
 
@@ -442,10 +449,11 @@ def _run_time_delay(config: RunConfig) -> tuple:
 def _run_broadband(config: RunConfig) -> tuple:
     """Normalized zero-delay broadband correlations, one batch over the theta grid."""
     spectrum, drive = _prepare(config)
-    corr = g2_zero_temperature(_modes(config, spectrum, drive, config.thetas), spectrum)
-    columns = [g2_broadband_normalized(corr, 0, j).tolist() for j in (0, 1)]
-    lead = [[_fmt(theta)] for theta in config.thetas.tolist()]
-    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), zip(lead, zip(*columns)))
+    modes = _modes(config, spectrum, drive, config.thetas)
+    specs = [(_correlations, g2_broadband_normalized, (0, j)) for j in (0, 1)]
+    columns, failed, _ = _point_values(specs, modes, spectrum, 0.0)
+    batch = ("", columns, failed)
+    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), config.thetas, [batch])
 
 
 def _run_entangle(config: RunConfig) -> tuple:
@@ -456,10 +464,7 @@ def _run_entangle(config: RunConfig) -> tuple:
     lines, failures, rho = _sweep(config, *_prepare(config))
     if config.single_theta and rho is not None:
         lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
-        lines.extend(
-            ",".join(_fmt(x) for z in row for x in (z.real, z.imag))
-            for row in rho.tolist()
-        )
+        lines.extend(",".join(map(_fmt, row)) for row in rho.view(float).tolist())
     return lines, failures
 
 

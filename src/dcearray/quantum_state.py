@@ -202,9 +202,9 @@ def wick_moment(state: GaussianOutputState, word) -> complex:
     if (sum(dag) + sum(ann)) % 2 == 1:
         return 0.0j
     # contractions of (a_1^dag..a_n^dag, a_1..a_n) in normal order
-    number, anomalous = state.number, state.anomalous
-    upper = np.hstack((np.conj(anomalous), number))
-    b = np.vstack((upper, np.hstack((number.T, anomalous)))).tolist()
+    number, anomalous = state.number.tolist(), state.anomalous.tolist()
+    b = [[m.conjugate() for m in row] + n_row for row, n_row in zip(anomalous, number)]
+    b += [list(n_col) + row for n_col, row in zip(zip(*number), anomalous)]
     counts = dag + ann
     used = [i for i, count in enumerate(counts) if count]
     top = tuple(counts[i] for i in used)

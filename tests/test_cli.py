@@ -475,6 +475,32 @@ def test_subcommand_guide_count_checked_first(command, n, message, capsys):
     assert f"{command} needs {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["spectrum"], "spectrum reads one theta, got a grid of 200"),
+        (["time-delay", "--theta-steps", "3"], "time-delay reads one theta"),
+        (["oracle-check", "--theta-steps", "5", "--temperature-mk", "0,40"],
+         "oracle-check reads one theta"),
+        (["time-delay", "--theta-rad", "0.9", "--temperature-mk", "40"],
+         "time-delay reads no temperature"),
+        (["broadband", "--theta-steps", "3", "--temperature-mk", "0,0"],
+         "broadband reads no temperature"),
+        (["oracle-check", "--theta-rad", "0.6", "--temperature-mk", "0,40"],
+         "oracle-check reads one temperature, got 2"),
+    ],
+    ids=["spectrum-grid", "time-delay-grid", "oracle-check-grid",
+         "time-delay-warm", "broadband-two-temps", "oracle-check-two-temps"],
+)
+def test_keys_a_command_would_ignore_are_config_errors(args, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([*args, "--target-occupancy", "0.1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_evaluates_each_temperature_once(monkeypatch):
     # one drive evaluation for the grid, one qutrit batch per T > 0
     calls = _count_calls(monkeypatch, "mode_response", "density_matrix")
@@ -607,3 +633,72 @@ def test_batched_grid_matches_point_evaluation(config, failed):
     if failed == 7:  # each message embeds its point's own intensities
         assert len(messages) > 1
         assert all(m.startswith("AsymmetricModes: intensities N_0=") for m in messages)
+
+
+def _cell_by_cell_lines(cfg):
+    """run_sweep's lines built one row and one cell at a time, as a reference.
+
+    Each token's batch column carries its state's errors in their cells
+    (``with_errors``); a row fails on its first error cell in token order.
+    """
+    from dataclasses import replace
+
+    from dcearray.cli import _observable, _prepare
+    from dcearray.drive import mode_response
+    from dcearray.errors import DceArrayError, with_errors
+
+    spectrum, drive = _prepare(cfg)
+    modes = mode_response(replace(drive, theta=cfg.thetas), cfg.line, spectrum)
+    header = ["theta", "phi", "temperature_mk", *cfg.observables, "error"]
+    lines = ["# " + ",".join(header)]
+    failures = 0
+    for temp in cfg.temperatures:
+        states, columns = {}, []
+        for state, value, indices in map(_observable, cfg.observables):
+            if state not in states:
+                states[state] = state(modes, spectrum, temp)
+            column = value(states[state], *indices)
+            columns.append(with_errors(column, states[state].errors).tolist())
+        for theta, cells in zip(cfg.thetas.tolist(), zip(*columns)):
+            row = ["%.17g" % theta, "%.17g" % cfg.phi, "%.17g" % (temp * 1e3)]
+            error = next((c for c in cells if isinstance(c, DceArrayError)), None)
+            if error is None:
+                row += ["%.17g" % c for c in cells] + [""]
+            else:
+                row += [""] * len(cells) + [f"{type(error).__name__}: {error}"]
+                failures += 1
+            lines.append(",".join(row))
+    status = f"partial ({failures} of {len(lines) - 1} points failed)"
+    lines.append(f"# status: {status if failures else 'ok'}")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "config, errors",
+    [
+        # every point of both batches fails on cs_violation_1_2
+        (MINIMAL + "n = 3\ntheta_steps = 7\ntemperature_mk = 0,25\n"
+         "observables = n_1,cs_violation_1_2,cs_violation_1_3\n",
+         ["AsymmetricModes: intensities N_0="] * 14),
+        # only theta = 0 fails, in the middle of the cold batch
+        (MINIMAL + "n = 1\ntheta_start = -1\ntheta_end = 1\ntheta_steps = 5\n"
+         "temperature_mk = 0,25\nobservables = n_1,g2_1_1\n",
+         ["", "", "ZeroIntensity: some waveguide emits no photons"] + [""] * 7),
+        # both states fail in the cold batch: the first token's state decides
+        ("da0_joule = 0\ntheta_steps = 3\ntemperature_mk = 0,25\n"
+         "observables = entropy,n_1,g2_1_2\n",
+         ["ZeroIntensity: no pair amplitude"] * 3 + [""] * 3),
+        ("da0_joule = 0\ntheta_steps = 3\ntemperature_mk = 0,25\n"
+         "observables = n_1,entropy,g2_1_2\n",
+         ["ZeroIntensity: some waveguide emits no photons"] * 3 + [""] * 3),
+    ],
+    ids=["asymmetric", "one-failed-row", "qutrit-first", "intensity-first"],
+)
+def test_batch_rows_match_cell_by_cell_formatting(config, errors):
+    cfg = parse_config(config)
+    lines, failures = run_sweep(cfg)
+    assert lines == _cell_by_cell_lines(cfg)
+    assert failures == sum(map(bool, errors))
+    for row, error in zip(lines[1:-1], errors, strict=True):
+        cell = row.rsplit(",", 1)[1]
+        assert cell.startswith(error) and bool(cell) == bool(error)
