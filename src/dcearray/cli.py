@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,6 +106,10 @@ _OBSERVABLES = {
 _TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_\d+)*)")
 _QUTRIT_OBS = tuple(k for k, v in _OBSERVABLES.items() if v[1] is _qutrit_state)
 _MIN_N = {"time-delay": 2, "broadband": 2}  # they report guide 2 as well
+# Subcommands that read one theta, no temperature, or no observables
+_ONE_THETA = ("spectrum", "time-delay", "oracle-check")
+_NO_TEMPERATURE = ("time-delay", "broadband", "calibrate")
+_NO_OBSERVABLES = ("spectrum", "time-delay", "broadband", "calibrate", "oracle-check")
 
 DEFAULTS = {
     "topology": "open_chain",
@@ -186,16 +190,17 @@ def parse_config(
 ) -> RunConfig:
     """Parse and validate a key=value config, with optional layered overrides.
 
-    ``command`` names the subcommand: ``entangle`` puts its own observables in
-    place of sweep-only ones; a theta grid or temperature it ignores is an error.
+    ``command`` names the subcommand: ``entangle`` without given observables
+    reads its qutrit ones; a key the command would ignore, or a config it
+    cannot run, is an error here rather than at run time.
     """
-    raw = dict(DEFAULTS)
-    raw.update(_parse_pairs(text))
+    given = _parse_pairs(text)
     for key, value in (overrides or {}).items():
         if key not in CONFIG_KEYS:
             raise UnknownKey(f"unknown configuration key {key!r}")
         if value is not None:
-            raw[key] = str(value)
+            given[key] = str(value)
+    raw = {**DEFAULTS, **given}
 
     kind = raw["topology"]
     n = _parse_int("n", raw["n"])
@@ -259,12 +264,18 @@ def parse_config(
         if t_mk < 0:
             raise RangeError(f"temperature_mk must be non-negative, got {t_mk}")
         temps.append(t_mk * 1e-3)  # millikelvin to kelvin
-    if command in ("spectrum", "time-delay", "oracle-check") and len(thetas) > 1:
+    if command in _ONE_THETA and len(thetas) > 1:
         raise RangeError(f"{command} reads one theta, got a grid of {len(thetas)}")
-    if command in ("time-delay", "broadband") and temps != [0.0]:
+    if command in _NO_TEMPERATURE and temps != [0.0]:
         raise RangeError(f"{command} reads no temperature; temperature_mk must be 0")
+    if command in _NO_OBSERVABLES and "observables" in given:
+        raise RangeError(f"{command} reads no observables")
     if command == "oracle-check" and len(temps) > 1:
         raise RangeError(f"oracle-check reads one temperature, got {len(temps)}")
+    if command == "oracle-check" and n != 2:
+        raise RangeError("oracle-check covers n=2 only")
+    if command == "calibrate" and target is None:
+        raise MissingRequired("calibrate requires target_occupancy")
 
     observables = [tok.strip() for tok in raw["observables"].split(",")]
     for tok in observables:
@@ -273,9 +284,12 @@ def parse_config(
             raise RangeError(f"unrecognized observable token {tok!r}")
         if not all(0 <= i < n for i in parsed[2]):
             raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
-    if command == "entangle" and not any(t in _QUTRIT_OBS for t in observables):
+    if command == "entangle" and "observables" not in given:
         observables = list(_QUTRIT_OBS)
-    if n != 2 and any(t in _QUTRIT_OBS for t in observables):
+    qutrit = any(t in _QUTRIT_OBS for t in observables)
+    if command == "entangle" and not qutrit:
+        raise RangeError("entangle observables need one of " + ", ".join(_QUTRIT_OBS))
+    if n != 2 and qutrit:
         raise RangeError(f"{', '.join(_QUTRIT_OBS)} need n = 2, got n = {n}")
 
     out = raw.get("out")
@@ -304,19 +318,16 @@ def _fmt(value) -> str:
     return "%.17g" % value
 
 
-def _prepare(config: RunConfig) -> tuple:
-    """The preamble of every subcommand: (spectrum, drive), computed once.
+def _prepare(config: RunConfig, theta) -> tuple:
+    """The preamble of every subcommand: (spectrum, drive at ``theta``), once.
 
-    da0 is taken as given or calibrated over the theta grid.
+    ``theta`` is the angle or the angle array the command reads; da0 is
+    taken as given or calibrated over the theta grid.
     """
     spectrum = eigendecompose(build_laplacian(config.topology))
     seed = config.da0 if config.da0 is not None else config.a0 * 1e-3
     drive = DriveParams(
-        a0=config.a0,
-        da0=seed,
-        phi=config.phi,
-        theta=float(config.thetas[0]),
-        omega_d=config.omega_d,
+        a0=config.a0, da0=seed, phi=config.phi, theta=theta, omega_d=config.omega_d
     )
     if config.target_occupancy is not None:
         drive = calibrate_da0_over_grid(
@@ -325,9 +336,10 @@ def _prepare(config: RunConfig) -> tuple:
     return spectrum, drive
 
 
-def _modes(config: RunConfig, spectrum, drive, theta):
-    """Drive response at one angle, or at every angle of a theta array."""
-    return mode_response(replace(drive, theta=theta), config.line, spectrum)
+def _table(header: str, *columns) -> list:
+    """CSV lines of a float table: header, one row per index, status line."""
+    row = ",".join(["%.17g"] * len(columns))  # as _fmt
+    return ["# " + header, *(row % cells for cells in zip(*columns)), "# status: ok"]
 
 
 def _point_values(specs, modes, spectrum, temperature):
@@ -388,7 +400,7 @@ def _sweep(config: RunConfig, spectrum, drive) -> tuple:
     is None when the first point failed or no token reads it.
     """
     specs = [_observable(token) for token in config.observables]
-    modes = _modes(config, spectrum, drive, config.thetas)
+    modes = mode_response(drive, config.line, spectrum)
     batches = []
     first = None
     for temp in config.temperatures:
@@ -409,14 +421,14 @@ def run_sweep(config: RunConfig) -> tuple:
     failed points leave their cells empty and carry the error message in the
     trailing error column.
     """
-    lines, failures, _ = _sweep(config, *_prepare(config))
+    lines, failures, _ = _sweep(config, *_prepare(config, config.thetas))
     return lines, failures
 
 
 def _run_spectrum(config: RunConfig) -> tuple:
     """Photon flux spectral density of waveguide 1 over (0, omega_d)."""
-    spectrum, drive = _prepare(config)
-    modes = _modes(config, spectrum, drive, float(config.thetas[0]))
+    spectrum, drive = _prepare(config, config.thetas[0])
+    modes = mode_response(drive, config.line, spectrum)
     omegas = omega_grid(config.omega_d)
     cells = [_fmt(w) for w in omegas.tolist()]
     lines = ["# omega_rad_s,temperature_mk,flux_1"]
@@ -432,24 +444,19 @@ def _run_spectrum(config: RunConfig) -> tuple:
 
 def _run_time_delay(config: RunConfig) -> tuple:
     """Broadband G2_11 and G2_12 against the dimensionless delay omega_d*tau."""
-    spectrum, drive = _prepare(config)
-    modes = _modes(config, spectrum, drive, float(config.thetas[0]))
+    spectrum, drive = _prepare(config, config.thetas[0])
+    modes = mode_response(drive, config.line, spectrum)
     tau = TAU_GRID / config.omega_d
     g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line)
     g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line)
-    lines = ["# omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"]
-    lines.extend(
-        "%.17g,%.17g,%.17g" % row  # as _fmt
-        for row in zip(TAU_GRID.tolist(), g11.tolist(), g12.tolist())
-    )
-    lines.append("# status: ok")
-    return lines, 0
+    header = "omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"
+    return _table(header, TAU_GRID.tolist(), g11.tolist(), g12.tolist()), 0
 
 
 def _run_broadband(config: RunConfig) -> tuple:
     """Normalized zero-delay broadband correlations, one batch over the theta grid."""
-    spectrum, drive = _prepare(config)
-    modes = _modes(config, spectrum, drive, config.thetas)
+    spectrum, drive = _prepare(config, config.thetas)
+    modes = mode_response(drive, config.line, spectrum)
     specs = [(_correlations, g2_broadband_normalized, (0, j)) for j in (0, 1)]
     columns, failed, _ = _point_values(specs, modes, spectrum, 0.0)
     batch = ("", columns, failed)
@@ -461,7 +468,7 @@ def _run_entangle(config: RunConfig) -> tuple:
 
     The dump reuses the state of the first row; a failed point has none.
     """
-    lines, failures, rho = _sweep(config, *_prepare(config))
+    lines, failures, rho = _sweep(config, *_prepare(config, config.thetas))
     if config.single_theta and rho is not None:
         lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
         lines.extend(",".join(map(_fmt, row)) for row in rho.view(float).tolist())
@@ -470,15 +477,9 @@ def _run_entangle(config: RunConfig) -> tuple:
 
 def _run_calibrate(config: RunConfig) -> tuple:
     """Report the da0 that meets the target occupancy over the theta grid."""
-    if config.target_occupancy is None:
-        raise MissingRequired("calibrate requires target_occupancy")
-    spectrum, drive = _prepare(config)
-    lines = [
-        "# da0_joule,target_occupancy",
-        ",".join([_fmt(drive.da0), _fmt(config.target_occupancy)]),
-        "# status: ok",
-    ]
-    return lines, 0
+    _, drive = _prepare(config, config.thetas)
+    header = "da0_joule,target_occupancy"
+    return _table(header, [drive.da0], [config.target_occupancy]), 0
 
 
 # oracle-check takes the first of these registers that holds the state, as
@@ -488,10 +489,8 @@ _ORACLE_CUTOFFS = (16, 20, 24, 28, 32)
 
 def _run_oracle_check(config: RunConfig) -> tuple:
     """Compare Wick-path moments and rho against the per-mode Fock oracle."""
-    if config.topology.n != 2:
-        raise RangeError("oracle-check covers n=2 only")
-    spectrum, drive = _prepare(config)
-    modes = _modes(config, spectrum, drive, float(config.thetas[0]))
+    spectrum, drive = _prepare(config, config.thetas[0])
+    modes = mode_response(drive, config.line, spectrum)
     temp = config.temperatures[0]
     state = output_gaussian(modes, spectrum, temp)
     n_t = thermal_occupation(config.omega_d / 2.0, temp)
@@ -522,12 +521,7 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     rho_ref = oracle.fock_block(ref, levels=3)
     rho_ref /= np.trace(rho_ref).real  # same qutrit-block normalization
     rho_err = float(np.max(np.abs(tdm.rho - rho_ref)))
-    lines = [
-        "# max_moment_error,max_rho_error",
-        ",".join([_fmt(moment_err), _fmt(rho_err)]),
-        "# status: ok",
-    ]
-    return lines, 0
+    return _table("max_moment_error,max_rho_error", [moment_err], [rho_err]), 0
 
 
 SUBCOMMANDS = {

@@ -1,10 +1,15 @@
 import math
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcearray import oracle
-from dcearray.cli import main, parse_config, run_sweep
+from dcearray.cli import CONFIG_KEYS, SUBCOMMANDS, main, parse_config, run_sweep
 from dcearray.errors import MissingRequired, RangeError, UnknownKey
 
 MINIMAL = "target_occupancy = 0.1\n"
@@ -488,17 +493,55 @@ def test_subcommand_guide_count_checked_first(command, n, message, capsys):
          "broadband reads no temperature"),
         (["oracle-check", "--theta-rad", "0.6", "--temperature-mk", "0,40"],
          "oracle-check reads one temperature, got 2"),
+        (["calibrate", "--temperature-mk", "40"], "calibrate reads no temperature"),
+        *(([command, *point, "--observables", "n_1"], f"{command} reads no observables")
+          for command, point in (
+              ("spectrum", ["--theta-rad", "0.6"]),
+              ("time-delay", ["--theta-rad", "0.6"]),
+              ("broadband", ["--theta-steps", "3"]),
+              ("calibrate", []),
+              ("oracle-check", ["--theta-rad", "0.6"]),
+          )),
+        (["entangle", "--theta-steps", "3", "--observables", "n_1"],
+         "entangle observables need one of entropy, f_noon, f_eq10"),
+        (["calibrate", "--da0-joule", "1e-26"], "calibrate requires target_occupancy"),
+        (["oracle-check", "--theta-rad", "0.6", "--n", "3"],
+         "oracle-check covers n=2 only"),
     ],
     ids=["spectrum-grid", "time-delay-grid", "oracle-check-grid",
-         "time-delay-warm", "broadband-two-temps", "oracle-check-two-temps"],
+         "time-delay-warm", "broadband-two-temps", "oracle-check-two-temps",
+         "calibrate-warm", "spectrum-observables", "time-delay-observables",
+         "broadband-observables", "calibrate-observables", "oracle-check-observables",
+         "entangle-no-qutrit-token", "calibrate-without-target", "oracle-check-n3"],
 )
 def test_keys_a_command_would_ignore_are_config_errors(args, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert main([*args, "--target-occupancy", "0.1", "--out", str(out)]) == 1
+    if "--da0-joule" not in args:
+        args = [*args, "--target-occupancy", "0.1"]
+    assert main([*args, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, header",
+    [
+        (["entangle", "--theta-steps", "3"],
+         "theta,phi,temperature_mk,entropy,f_noon,f_eq10,error"),
+        (["entangle", "--theta-steps", "3", "--observables", "n_1,entropy"],
+         "theta,phi,temperature_mk,n_1,entropy,error"),
+        (["calibrate", "--temperature-mk", "0"], "da0_joule,target_occupancy"),
+    ],
+    ids=["entangle-default", "entangle-mixed-tokens", "calibrate-cold"],
+)
+def test_keys_a_command_reads_still_run(args, header, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main([*args, "--target-occupancy", "0.1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# " + header
+    assert lines[-1] == "# status: ok"
 
 
 def test_sweep_evaluates_each_temperature_once(monkeypatch):
@@ -611,7 +654,7 @@ def test_batched_grid_matches_point_evaluation(config, failed):
     from dcearray.drive import mode_response
 
     cfg = parse_config(config)
-    spectrum, drive = _prepare(cfg)
+    spectrum, drive = _prepare(cfg, cfg.thetas)
     lines, failures = run_sweep(cfg)
     assert failures == failed
     rows = [line.split(",") for line in lines[1:-1]]
@@ -647,7 +690,7 @@ def _cell_by_cell_lines(cfg):
     from dcearray.drive import mode_response
     from dcearray.errors import DceArrayError, with_errors
 
-    spectrum, drive = _prepare(cfg)
+    spectrum, drive = _prepare(cfg, cfg.thetas)
     modes = mode_response(replace(drive, theta=cfg.thetas), cfg.line, spectrum)
     header = ["theta", "phi", "temperature_mk", *cfg.observables, "error"]
     lines = ["# " + ",".join(header)]
@@ -702,3 +745,182 @@ def test_batch_rows_match_cell_by_cell_formatting(config, errors):
     for row, error in zip(lines[1:-1], errors, strict=True):
         cell = row.rsplit(",", 1)[1]
         assert cell.startswith(error) and bool(cell) == bool(error)
+
+
+def _calibrated_point(topology, theta, target):
+    """(spectrum, line, drive, modes) of the CLI defaults, calibrated at one angle."""
+    from dcearray.drive import (
+        DriveParams, LineParams, calibrate_da0_over_grid, mode_response,
+    )
+    from dcearray.lattice import build_laplacian, eigendecompose
+
+    spectrum = eigendecompose(build_laplacian(topology))
+    line = LineParams(z0=55.0, v=1.2e8)
+    seed = DriveParams(a0=1e-23, da0=1e-23 * 1e-3, phi=math.pi / 4.0, theta=theta,
+                       omega_d=2.0 * math.pi * 10.3e9)
+    drive = calibrate_da0_over_grid(seed, line, spectrum, np.array([theta]), target)
+    return spectrum, line, drive, mode_response(drive, line, spectrum)
+
+
+def _spectrum_lines(theta, temps_mk):
+    from dcearray.lattice import ArrayTopology
+    from dcearray.spectral import omega_grid, photon_flux_density
+
+    spectrum, _, _, modes = _calibrated_point(ArrayTopology.ring(64), theta, 0.1)
+    omegas = omega_grid(modes.omega_d)
+    lines = ["# omega_rad_s,temperature_mk,flux_1"]
+    for t_mk in temps_mk:
+        temp = t_mk * 1e-3
+        flux = photon_flux_density(0, omegas, modes, spectrum, temp)
+        lines += ["%.17g,%.17g,%.17g" % (w, temp * 1e3, f) for w, f in zip(omegas, flux)]
+    return lines + ["# status: ok"]
+
+
+def _time_delay_lines(theta):
+    from dcearray.lattice import ArrayTopology
+    from dcearray.spectral import TAU_GRID, g2_broadband
+
+    spectrum, line, _, modes = _calibrated_point(ArrayTopology.ring(64), theta, 0.1)
+    tau = TAU_GRID / modes.omega_d
+    g11 = g2_broadband(0, 0, tau, modes, spectrum, line)
+    g12 = g2_broadband(0, 1, tau, modes, spectrum, line)
+    lines = ["# omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"]
+    lines += ["%.17g,%.17g,%.17g" % row for row in zip(TAU_GRID, g11, g12)]
+    return lines + ["# status: ok"]
+
+
+def _calibrate_lines(theta, target):
+    from dcearray.lattice import ArrayTopology
+
+    _, _, drive, _ = _calibrated_point(ArrayTopology.open_chain(2), theta, target)
+    return ["# da0_joule,target_occupancy", "%.17g,%.17g" % (drive.da0, target),
+            "# status: ok"]
+
+
+def _oracle_check_lines(theta, target, t_mk):
+    from dcearray.lattice import ArrayTopology
+    from dcearray.quantum_state import (
+        density_matrix, output_gaussian, thermal_occupation, wick_moment,
+    )
+
+    spectrum, _, _, modes = _calibrated_point(ArrayTopology.open_chain(2), theta, target)
+    temp = t_mk * 1e-3
+    state = output_gaussian(modes, spectrum, temp)
+    ref = oracle.build_state(
+        modes.eps, spectrum.modes, cutoff=28, deficit_tol=1e-6,
+        n_thermal=thermal_occupation(modes.omega_d / 2.0, temp),
+    )
+    moments = oracle.normal_moments(ref)
+    words = {  # normal-ordered words and their (dagger, lowering) counts per mode
+        ((0, True), (0, False)): ((1, 0), (1, 0)),
+        ((0, True), (1, False)): ((1, 0), (0, 1)),
+        ((0, False), (1, False)): ((0, 0), (1, 1)),
+        ((0, True), (0, True), (0, False), (0, False)): ((2, 0), (2, 0)),
+        ((0, True), (1, True), (0, False), (1, False)): ((1, 1), (1, 1)),
+    }
+    moment_err = 0.0
+    for word, key in words.items():
+        moment_err = max(moment_err, abs(wick_moment(state, list(word)) - moments[key]))
+    rho_ref = oracle.fock_block(ref, levels=3)
+    rho_ref /= np.trace(rho_ref).real
+    rho = density_matrix(state, post_select=False).rho
+    rho_err = float(np.max(np.abs(rho - rho_ref)))
+    return ["# max_moment_error,max_rho_error", "%.17g,%.17g" % (moment_err, rho_err),
+            "# status: ok"]
+
+
+RING64 = ["--topology", "ring", "--n", "64", "--target-occupancy", "0.1"]
+WARM_POINT = ["--target-occupancy", "0.3", "--theta-rad", "1.3"]
+
+
+@pytest.mark.parametrize(
+    "args, reference",
+    [
+        (["spectrum", *RING64, "--theta-rad", "1.1", "--temperature-mk", "0,25"],
+         lambda: _spectrum_lines(1.1, (0.0, 25.0))),
+        (["time-delay", *RING64, "--theta-rad", "2.0"], lambda: _time_delay_lines(2.0)),
+        (["calibrate", *WARM_POINT], lambda: _calibrate_lines(1.3, 0.3)),
+        (["oracle-check", *WARM_POINT, "--temperature-mk", "25"],
+         lambda: _oracle_check_lines(1.3, 0.3, 25.0)),
+    ],
+    ids=["spectrum-ring64", "time-delay-ring64", "calibrate", "oracle-check-cutoff28"],
+)
+def test_table_commands_match_library_calls(args, reference, tmp_path):
+    # each cell is the %.17g of the library value, row by row
+    out = tmp_path / "table.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == ("\n".join(reference()) + "\n").encode()
+
+
+# The values the fuzz draws per config key: (valid ones, ones that
+# parse_config rejects).  The one invalid out is a directory, so no run
+# writes a file.
+FUZZ_VALUES = {
+    "topology": (["open_chain", "ring"], ["star"]),
+    "n": (["1", "2", "3", "4"], ["0", "two"]),
+    "a0_joule": (["1e-23", "3e-23"], ["-1e-23", "nan"]),
+    "da0_joule": (["0", "1e-26", "5e-26"], ["-1e-26", "inf"]),
+    "target_occupancy": (["0.05", "0.1", "0.3"], ["0", "1.5"]),
+    "phi_rad": (["0.3", "0.7853981633974483", "1.2", "3"], ["inf"]),
+    "theta_rad": (["0", "0.6", "1.3", "2.9", "-0.4"], ["nan"]),
+    "theta_start": (["0", "-1", "0.5"], ["x"]),
+    "theta_end": (["1", "3.14"], ["inf"]),
+    "theta_steps": (["1", "2", "3", "5"], ["0", "2.5"]),
+    "omega_d_rad_s": (["6.47e10", "3e10"], ["-1"]),
+    "z0_ohm": (["50"], ["0"]),
+    "v_m_s": (["1e8"], ["-1"]),
+    "temperature_mk": (["0", "25", "40", "0,25", "0,0"], ["-5", "25,"]),
+    "observables": (["n_1", "n_1,g2_1_2", "g2_1_1,cs_violation_1_2", "entropy",
+                     "f_noon,n_2", "n_1,f_eq10,g2_2_2"], ["g2_1_5", "bogus"]),
+    "out": ([], ["."]),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand and its config flags: mostly an amplitude and one theta,
+    up to four other keys, and all values valid but at most one.  Every key
+    of CONFIG_KEYS needs an entry in FUZZ_VALUES."""
+    amplitude = draw(st.sampled_from(["target_occupancy", "da0_joule"] * 2 + [None]))
+    angle = draw(st.sampled_from(["theta_rad", None]))
+    keys = draw(st.lists(
+        st.sampled_from([k for k in CONFIG_KEYS if FUZZ_VALUES[k][0]]),
+        max_size=4, unique=True,
+    ))
+    values = {key: draw(st.sampled_from(FUZZ_VALUES[key][0]))
+              for key in [amplitude, angle, *keys] if key}
+    bad = draw(st.sampled_from([None] * 3 * len(CONFIG_KEYS) + list(CONFIG_KEYS)))
+    if bad:
+        values[bad] = draw(st.sampled_from(FUZZ_VALUES[bad][1]))
+    argv = [draw(st.sampled_from(sorted(SUBCOMMANDS)))]
+    # --key=value: argparse reads a bare -1e-23 as a flag, not a value
+    return argv + [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(argv=_cli_argv())
+def test_any_command_line_fails_cleanly_or_writes_finite_rows(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if rc == 1:
+        assert err.startswith(("config error:", "error:")), err
+        assert stdout.getvalue() == ""
+        return
+    assert rc in (0, 2), rc
+    lines = stdout.getvalue().splitlines()
+    status = next(k for k, line in enumerate(lines) if line.startswith("# status: "))
+    rows = [line.split(",") for line in lines[1:status]]
+    failures = 0
+    if lines[0].endswith(",error"):  # a failed row's value cells are empty
+        failures = sum(1 for row in rows if row[-1])
+        rows = [row[:-1] for row in rows if not row[-1]]
+    rows += [line.split(",") for line in lines[status + 2:]]  # an entangle rho dump
+    for row in rows:
+        assert all(math.isfinite(float(c)) for c in row), row
+    total = status - 1
+    expected = f"partial ({failures} of {total} points failed)" if failures else "ok"
+    assert lines[status] == f"# status: {expected}"
+    assert rc == (2 if failures else 0)
