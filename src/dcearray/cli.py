@@ -54,26 +54,6 @@ from .spectral import (
 
 __all__ = ["RunConfig", "parse_config", "run_sweep", "main"]
 
-CONFIG_KEYS = (
-    "topology",
-    "n",
-    "a0_joule",
-    "da0_joule",
-    "target_occupancy",
-    "phi_rad",
-    "theta_rad",
-    "theta_start",
-    "theta_end",
-    "theta_steps",
-    "omega_d_rad_s",
-    "z0_ohm",
-    "v_m_s",
-    "temperature_mk",
-    "observables",
-    "out",
-)
-
-
 def _correlations(modes, spectrum, temperature):
     """Band-centre correlations: leading order at T = 0, else Gaussian."""
     if temperature == 0.0:
@@ -111,18 +91,6 @@ _ONE_THETA = ("spectrum", "time-delay", "oracle-check")
 _NO_TEMPERATURE = ("time-delay", "broadband", "calibrate")
 _NO_OBSERVABLES = ("spectrum", "time-delay", "broadband", "calibrate", "oracle-check")
 
-DEFAULTS = {
-    "topology": "open_chain",
-    "n": "2",
-    "a0_joule": "1e-23",
-    "phi_rad": repr(math.pi / 4.0),
-    "omega_d_rad_s": repr(2.0 * math.pi * 10.3e9),
-    "z0_ohm": "55",
-    "v_m_s": "1.2e8",
-    "temperature_mk": "0",
-    "observables": "n_1,g2_1_1,g2_1_2",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -152,21 +120,77 @@ def _observable(token: str) -> tuple | None:
     return (state, value, indices) if len(indices) == n_indices else None
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise RangeError(f"{key}={raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise RangeError(f"{key}={raw!r} is not finite")
-    return value
+def _number(kind, rule: str = "", holds=None):
+    """A parser of one finite ``kind`` (int or float) that ``holds`` accepts."""
+
+    def parse(key: str, raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise RangeError(f"{key}={raw!r} is not {noun}") from None
+        if not math.isfinite(value):
+            raise RangeError(f"{key}={raw!r} is not finite")
+        if holds is not None and not holds(value):
+            raise RangeError(f"{key} must {rule}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise RangeError(f"{key}={raw!r} is not an integer") from None
+_FLOAT = _number(float)
+_POSITIVE = _number(float, "be positive", lambda x: x > 0)
+_NON_NEGATIVE = _number(float, "be non-negative", lambda x: x >= 0)
+
+
+def _topology(key: str, raw: str):
+    """The constructor of the named array topology."""
+    if raw not in ("open_chain", "ring"):
+        raise RangeError(f"{key} must be open_chain or ring, got {raw!r}")
+    return getattr(ArrayTopology, raw)
+
+
+def _temperatures(key: str, raw: str) -> tuple:
+    """Comma-separated millikelvin, in kelvin."""
+    return tuple(_NON_NEGATIVE(key, tok.strip()) * 1e-3 for tok in raw.split(","))
+
+
+def _tokens(key: str, raw: str) -> tuple:
+    """Comma-separated observable tokens; their indices are checked against n."""
+    tokens = tuple(tok.strip() for tok in raw.split(","))
+    for tok in tokens:
+        if _observable(tok) is None:
+            raise RangeError(f"unrecognized observable token {tok!r}")
+    return tokens
+
+
+def _out(key: str, raw: str) -> str:
+    if os.path.isdir(raw) or not os.path.isdir(os.path.dirname(raw) or "."):
+        raise RangeError(f"{key}={raw!r} is not a file in an existing directory")
+    return raw
+
+
+# One row per config key: (default text or None, parser).  A parser turns the
+# key's text into its value or raises the RangeError of the key's range rule;
+# a default goes through its row's parser as given text does.
+CONFIG_KEYS = {
+    "topology": ("open_chain", _topology),
+    "n": ("2", _number(int)),
+    "a0_joule": ("1e-23", _POSITIVE),
+    "da0_joule": (None, _NON_NEGATIVE),
+    "target_occupancy": (None, _number(float, "lie in (0, 1)", lambda x: 0 < x < 1)),
+    "phi_rad": (repr(math.pi / 4.0), _FLOAT),
+    "theta_rad": (None, _FLOAT),
+    "theta_start": ("0", _FLOAT),
+    "theta_end": (repr(math.pi), _FLOAT),
+    "theta_steps": ("200", _number(int, "be at least 1", lambda x: x >= 1)),
+    "omega_d_rad_s": (repr(2.0 * math.pi * 10.3e9), _POSITIVE),
+    "z0_ohm": ("55", _POSITIVE),
+    "v_m_s": ("1.2e8", _POSITIVE),
+    "temperature_mk": ("0", _temperatures),
+    "observables": ("n_1,g2_1_1,g2_1_2", _tokens),
+    "out": (None, _out),
+}
 
 
 def _parse_pairs(text: str) -> dict:
@@ -190,9 +214,11 @@ def parse_config(
 ) -> RunConfig:
     """Parse and validate a key=value config, with optional layered overrides.
 
-    ``command`` names the subcommand: ``entangle`` without given observables
-    reads its qutrit ones; a key the command would ignore, or a config it
-    cannot run, is an error here rather than at run time.
+    Each key's row parses and range-checks its value; the rules here are
+    those between keys.  ``command`` names the subcommand: ``entangle``
+    without given observables reads its qutrit ones; a key the command would
+    ignore, or a config it cannot run, is an error here rather than at run
+    time.
     """
     given = _parse_pairs(text)
     for key, value in (overrides or {}).items():
@@ -200,73 +226,37 @@ def parse_config(
             raise UnknownKey(f"unknown configuration key {key!r}")
         if value is not None:
             given[key] = str(value)
-    raw = {**DEFAULTS, **given}
+    values = {
+        key: parse(key, given.get(key, default))
+        for key, (default, parse) in CONFIG_KEYS.items()
+        if key in given or default is not None
+    }
 
-    kind = raw["topology"]
-    n = _parse_int("n", raw["n"])
+    n = values["n"]
     n_min = _MIN_N.get(command, 1)
     if n < n_min:
         raise RangeError(f"{command} needs n >= {n_min}, got n = {n}")
-    if kind == "open_chain":
-        topology = ArrayTopology.open_chain(n)
-    elif kind == "ring":
-        topology = ArrayTopology.ring(n)
-    else:
-        raise RangeError(f"topology must be open_chain or ring, got {kind!r}")
-
-    a0 = _parse_float("a0_joule", raw["a0_joule"])
-    if a0 <= 0:
-        raise RangeError(f"a0_joule must be positive, got {a0}")
-    has_da0 = "da0_joule" in raw
-    has_target = "target_occupancy" in raw
-    if has_da0 and has_target:
+    topology = values["topology"](n)
+    da0, target = values.get("da0_joule"), values.get("target_occupancy")
+    if da0 is not None and target is not None:
         raise RangeError("da0_joule and target_occupancy are mutually exclusive")
-    if not has_da0 and not has_target:
+    if da0 is None and target is None:
         raise MissingRequired("one of da0_joule or target_occupancy is required")
-    da0 = _parse_float("da0_joule", raw["da0_joule"]) if has_da0 else None
-    target = (
-        _parse_float("target_occupancy", raw["target_occupancy"])
-        if has_target
-        else None
-    )
-    if da0 is not None and da0 < 0:
-        raise RangeError(f"da0_joule must be non-negative, got {da0}")
-    if target is not None and not 0.0 < target < 1.0:
-        raise RangeError(f"target_occupancy must lie in (0, 1), got {target}")
 
-    phi = _parse_float("phi_rad", raw["phi_rad"])
-    omega_d = _parse_float("omega_d_rad_s", raw["omega_d_rad_s"])
-    if omega_d <= 0:
-        raise RangeError(f"omega_d_rad_s must be positive, got {omega_d}")
-    z0 = _parse_float("z0_ohm", raw["z0_ohm"])
-    v = _parse_float("v_m_s", raw["v_m_s"])
-    if z0 <= 0 or v <= 0:
-        raise RangeError("z0_ohm and v_m_s must be positive")
-
-    sweep_keys = [k for k in ("theta_start", "theta_end", "theta_steps") if k in raw]
-    if "theta_rad" in raw:
-        if sweep_keys:
+    single = "theta_rad" in given
+    if single:
+        if given.keys() & {"theta_start", "theta_end", "theta_steps"}:
             raise RangeError("theta_rad excludes theta_start/theta_end/theta_steps")
-        thetas = np.array([_parse_float("theta_rad", raw["theta_rad"])])
-        single = True
+        thetas = np.array([values["theta_rad"]])
     else:
-        start = _parse_float("theta_start", raw.get("theta_start", "0"))
-        end = _parse_float("theta_end", raw.get("theta_end", repr(math.pi)))
-        steps = _parse_int("theta_steps", raw.get("theta_steps", "200"))
-        if steps < 1:
-            raise RangeError(f"theta_steps must be at least 1, got {steps}")
-        thetas = np.linspace(start, end, steps)
-        single = False
+        thetas = np.linspace(
+            values["theta_start"], values["theta_end"], values["theta_steps"]
+        )
 
-    temps = []
-    for tok in raw["temperature_mk"].split(","):
-        t_mk = _parse_float("temperature_mk", tok.strip())
-        if t_mk < 0:
-            raise RangeError(f"temperature_mk must be non-negative, got {t_mk}")
-        temps.append(t_mk * 1e-3)  # millikelvin to kelvin
+    temps = values["temperature_mk"]
     if command in _ONE_THETA and len(thetas) > 1:
         raise RangeError(f"{command} reads one theta, got a grid of {len(thetas)}")
-    if command in _NO_TEMPERATURE and temps != [0.0]:
+    if command in _NO_TEMPERATURE and temps != (0.0,):
         raise RangeError(f"{command} reads no temperature; temperature_mk must be 0")
     if command in _NO_OBSERVABLES and "observables" in given:
         raise RangeError(f"{command} reads no observables")
@@ -277,40 +267,31 @@ def parse_config(
     if command == "calibrate" and target is None:
         raise MissingRequired("calibrate requires target_occupancy")
 
-    observables = [tok.strip() for tok in raw["observables"].split(",")]
+    observables = values["observables"]
     for tok in observables:
-        parsed = _observable(tok)
-        if parsed is None:
-            raise RangeError(f"unrecognized observable token {tok!r}")
-        if not all(0 <= i < n for i in parsed[2]):
+        if not all(0 <= i < n for i in _observable(tok)[2]):
             raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
     if command == "entangle" and "observables" not in given:
-        observables = list(_QUTRIT_OBS)
+        observables = _QUTRIT_OBS
     qutrit = any(t in _QUTRIT_OBS for t in observables)
     if command == "entangle" and not qutrit:
         raise RangeError("entangle observables need one of " + ", ".join(_QUTRIT_OBS))
     if n != 2 and qutrit:
         raise RangeError(f"{', '.join(_QUTRIT_OBS)} need n = 2, got n = {n}")
 
-    out = raw.get("out")
-    if out is not None and (
-        os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")
-    ):
-        raise RangeError(f"out={out!r} is not a file in an existing directory")
-
     return RunConfig(
         topology=topology,
-        a0=a0,
+        a0=values["a0_joule"],
         da0=da0,
         target_occupancy=target,
-        phi=phi,
+        phi=values["phi_rad"],
         thetas=thetas,
         single_theta=single,
-        omega_d=omega_d,
-        line=LineParams(z0=z0, v=v),
-        temperatures=tuple(temps),
-        observables=tuple(observables),
-        out=out,
+        omega_d=values["omega_d_rad_s"],
+        line=LineParams(z0=values["z0_ohm"], v=values["v_m_s"]),
+        temperatures=temps,
+        observables=observables,
+        out=values.get("out"),
     )
 
 
@@ -535,6 +516,10 @@ SUBCOMMANDS = {
 }
 
 
+_FLAGS = {"--" + key.replace("_", "-"): key for key in CONFIG_KEYS}
+_NEGATIVE = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcearray",
@@ -542,8 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="path to a key=value config file")
-    for key in CONFIG_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key)
+    for flag, key in _FLAGS.items():
+        parser.add_argument(flag, dest=key)
     return parser
 
 
@@ -562,7 +547,15 @@ def _write(path: str, payload: str, mode: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # argparse takes a bare negative exponent (-1e-26) for an option, so a key
+    # flag and the negative number after it go in as one --key=value word
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in _FLAGS and _NEGATIVE.fullmatch(word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = _PARSER.parse_args(words)
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     try:
         text = ""

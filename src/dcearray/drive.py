@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class DriveParams:
             warnings.warn(
                 f"da0/a0 = {self.da0 / self.a0:.3g} exceeds {PERTURBATIVE_RATIO}; "
                 "the perturbative treatment assumes da0 << a0",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass-generated __init__
             )
 
 
@@ -147,8 +147,11 @@ def calibrate_da0_over_grid(
         raise ValueError("target occupancy must lie in (0, 1)")
     if drive.da0 <= 0:
         raise ValueError("need a positive da0 seed")
-    eps = mode_response(replace(drive, theta=thetas), line, spectrum).eps
+    a0, da0, phi, omega_d = drive.a0, drive.da0, drive.phi, drive.omega_d
+    grid = DriveParams(a0=a0, da0=da0, phi=phi, theta=thetas, omega_d=omega_d)
+    eps = mode_response(grid, line, spectrum).eps
     peak = float(np.max(eps**2 @ spectrum.modes**2))  # max over theta and guide
     if peak == 0.0:
         raise NoResponse("no grid point produces a nonzero response")
-    return replace(drive, da0=drive.da0 * math.sqrt(target_max_occupancy / peak))
+    da0 *= math.sqrt(target_max_occupancy / peak)
+    return DriveParams(a0=a0, da0=da0, phi=phi, theta=drive.theta, omega_d=omega_d)

@@ -2,6 +2,8 @@ import math
 
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -862,8 +864,8 @@ FUZZ_VALUES = {
     "da0_joule": (["0", "1e-26", "5e-26"], ["-1e-26", "inf"]),
     "target_occupancy": (["0.05", "0.1", "0.3"], ["0", "1.5"]),
     "phi_rad": (["0.3", "0.7853981633974483", "1.2", "3"], ["inf"]),
-    "theta_rad": (["0", "0.6", "1.3", "2.9", "-0.4"], ["nan"]),
-    "theta_start": (["0", "-1", "0.5"], ["x"]),
+    "theta_rad": (["0", "0.6", "1.3", "2.9", "-0.4", "-1e-3"], ["nan"]),
+    "theta_start": (["0", "-1", "0.5", "-2e-1"], ["x"]),
     "theta_end": (["1", "3.14"], ["inf"]),
     "theta_steps": (["1", "2", "3", "5"], ["0", "2.5"]),
     "omega_d_rad_s": (["6.47e10", "3e10"], ["-1"]),
@@ -874,6 +876,92 @@ FUZZ_VALUES = {
                      "f_noon,n_2", "n_1,f_eq10,g2_2_2"], ["g2_1_5", "bogus"]),
     "out": ([], ["."]),
 }
+
+
+# The ConfigError subclass and message parse_config raises for each invalid
+# value of FUZZ_VALUES, given alone to a config that is otherwise valid.
+REJECTIONS = {
+    ("topology", "star"): "topology must be open_chain or ring, got 'star'",
+    ("n", "0"): "sweep needs n >= 1, got n = 0",
+    ("n", "two"): "n='two' is not an integer",
+    ("a0_joule", "-1e-23"): "a0_joule must be positive, got -1e-23",
+    ("a0_joule", "nan"): "a0_joule='nan' is not finite",
+    ("da0_joule", "-1e-26"): "da0_joule must be non-negative, got -1e-26",
+    ("da0_joule", "inf"): "da0_joule='inf' is not finite",
+    ("target_occupancy", "0"): "target_occupancy must lie in (0, 1), got 0.0",
+    ("target_occupancy", "1.5"): "target_occupancy must lie in (0, 1), got 1.5",
+    ("phi_rad", "inf"): "phi_rad='inf' is not finite",
+    ("theta_rad", "nan"): "theta_rad='nan' is not finite",
+    ("theta_start", "x"): "theta_start='x' is not a number",
+    ("theta_end", "inf"): "theta_end='inf' is not finite",
+    ("theta_steps", "0"): "theta_steps must be at least 1, got 0",
+    ("theta_steps", "2.5"): "theta_steps='2.5' is not an integer",
+    ("omega_d_rad_s", "-1"): "omega_d_rad_s must be positive, got -1.0",
+    ("z0_ohm", "0"): "z0_ohm must be positive, got 0.0",
+    ("v_m_s", "-1"): "v_m_s must be positive, got -1.0",
+    ("temperature_mk", "-5"): "temperature_mk must be non-negative, got -5.0",
+    ("temperature_mk", "25,"): "temperature_mk='' is not a number",
+    ("observables", "g2_1_5"): "observable 'g2_1_5' indexes outside 1..2",
+    ("observables", "bogus"): "unrecognized observable token 'bogus'",
+    ("out", "."): "out='.' is not a file in an existing directory",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value", [(k, v) for k, (_, bad) in FUZZ_VALUES.items() for v in bad]
+)
+def test_each_invalid_value_has_its_own_message(key, value):
+    text = f"{key} = {value}\n"
+    if key not in ("da0_joule", "target_occupancy"):
+        text += MINIMAL
+    with pytest.raises(RangeError) as info:
+        parse_config(text)
+    assert type(info.value) is RangeError
+    assert str(info.value) == REJECTIONS[key, value]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--da0-joule", "-1e-26"], "da0_joule must be non-negative, got -1e-26"),
+        (["--a0-joule", "-1e-23", "--target-occupancy", "0.1"],
+         "a0_joule must be positive, got -1e-23"),
+    ],
+    ids=["da0", "a0"],
+)
+def test_bare_negative_exponent_reaches_the_key_parser(args, message, capsys):
+    assert main(["sweep", *args]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, thetas",
+    [
+        (["--theta-rad", "-1e-3"], ["-0.001"]),
+        (["--theta-start", "-1e-3", "--theta-end", "1", "--theta-steps", "3"],
+         ["%.17g" % theta for theta in np.linspace(-1e-3, 1, 3)]),
+    ],
+    ids=["point", "grid"],
+)
+def test_bare_negative_exponent_is_a_flag_value(args, thetas, capsys):
+    assert main(["sweep", "--target-occupancy", "0.1", *args]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split(",")[0] for row in rows] == thetas
+
+
+def test_flag_without_a_value_stays_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--target-occupancy", "0.1", "--theta-rad"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_readme_key_table_names_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| key |", 1)[1].split("\n\n")[0]
+    rows = table.splitlines()[2:]  # after the header and its rule
+    named = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert named == list(CONFIG_KEYS)
 
 
 @st.composite
@@ -893,8 +981,10 @@ def _cli_argv(draw):
     if bad:
         values[bad] = draw(st.sampled_from(FUZZ_VALUES[bad][1]))
     argv = [draw(st.sampled_from(sorted(SUBCOMMANDS)))]
-    # --key=value: argparse reads a bare -1e-23 as a flag, not a value
-    return argv + [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+    flags = {f"--{k.replace('_', '-')}": v for k, v in values.items()}
+    if draw(st.booleans()):  # the two-word form, --key value
+        return argv + [word for pair in flags.items() for word in pair]
+    return argv + [f"{flag}={v}" for flag, v in flags.items()]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

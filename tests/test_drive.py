@@ -1,4 +1,6 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,18 @@ def test_line_derived_quantities():
 def test_perturbative_warning():
     with pytest.warns(UserWarning, match="perturbative"):
         DriveParams(a0=1e-23, da0=2e-24, phi=0.5, theta=0.5, omega_d=OMEGA_D)
+
+
+def test_perturbative_warning_names_the_caller():
+    spec = two_guide_spectrum()
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        DriveParams(a0=1e-23, da0=2e-24, phi=0.5, theta=0.5, omega_d=OMEGA_D)
+        seed = drive(math.pi / 4.0, 0.9)
+        calibrated = calibrate_da0_over_grid(seed, LINE, spec, 0.9, 0.9)
+    assert calibrated.da0 / calibrated.a0 > 0.1
+    files = [os.path.basename(r.filename) for r in records]
+    assert files == ["test_drive.py", "drive.py"]
 
 
 def test_equal_length_modulation_angle():
