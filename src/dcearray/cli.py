@@ -517,7 +517,6 @@ SUBCOMMANDS = {
 
 
 _FLAGS = {"--" + key.replace("_", "-"): key for key in CONFIG_KEYS}
-_NEGATIVE = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -547,11 +546,13 @@ def _write(path: str, payload: str, mode: str) -> None:
 
 
 def main(argv=None) -> int:
-    # argparse takes a bare negative exponent (-1e-26) for an option, so a key
-    # flag and the negative number after it go in as one --key=value word
+    # argparse takes a bare word that begins with one "-" (-1e-26, -inf,
+    # -5,25) for an option, so a key flag and such a word after it go in as
+    # one --key=value word; -h and --options stay options
     words = []
     for word in sys.argv[1:] if argv is None else argv:
-        if words and words[-1] in _FLAGS and _NEGATIVE.fullmatch(word):
+        single_dash = word.startswith("-") and not word.startswith("--")
+        if words and words[-1] in _FLAGS and single_dash and word != "-h":
             words[-1] += "=" + word
         else:
             words.append(word)

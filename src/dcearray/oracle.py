@@ -24,6 +24,11 @@ Two paths check each other:
   density matrix ``rho``, which a state builds only on first use.  It is
   the independent check of the other path, for the tests and the bench.
 
+The coefficients C depend on the mode basis alone, not on the squeezing or
+the temperature, so the per-mode path expands each basis once: a small memo
+keeps the read-only C of the last few (basis, words, power) keys, and
+states that share a basis (every draw of one array) share them.
+
 Numpy alone, at most three modes.
 """
 
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -201,11 +206,24 @@ def _expansion(c_matrix: np.ndarray, words, power: int) -> np.ndarray:
     """Rows C[w] with prod_i a_i^w_i = sum_p C[w, p] prod_n b_n^p_n.
 
     p runs over the per-mode powers 0..power of every mode, flattened in
-    C order as np.kron orders the per-mode tables.  A word grows from a
-    shorter one by one factor a_i = sum_n c_n^i b_n, which raises p_n by
-    one with weight c_n^i; no power exceeds the word's total <= power.
+    C order as np.kron orders the per-mode tables.  The rows depend on the
+    basis, the words and the power only, so they come from a memo of the
+    last few bases and are read-only.
     """
-    n_modes = c_matrix.shape[0]
+    c_matrix = np.asarray(c_matrix, dtype=float)
+    return _expand(c_matrix.tobytes(), c_matrix.shape, tuple(words), power)
+
+
+@lru_cache(maxsize=8)
+def _expand(c_bytes: bytes, shape: tuple, words: tuple, power: int) -> np.ndarray:
+    """_expansion of the basis with raw bytes ``c_bytes``, built once per key.
+
+    A word grows from a shorter one by one factor a_i = sum_n c_n^i b_n,
+    which raises p_n by one with weight c_n^i; no power exceeds the word's
+    total <= power.
+    """
+    c_matrix = np.frombuffer(c_bytes).reshape(shape)
+    n_modes = shape[0]
     vacuum = np.zeros((power + 1,) * n_modes)
     vacuum[(0,) * n_modes] = 1.0
     rows = {(0,) * n_modes: vacuum}
@@ -223,7 +241,9 @@ def _expansion(c_matrix: np.ndarray, words, power: int) -> np.ndarray:
             rows[word] = grown
         return rows[word]
 
-    return np.array([row(word).reshape(-1) for word in words])
+    coeffs = np.array([row(word).reshape(-1) for word in words])
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _moment_table(factor: np.ndarray, power: int) -> np.ndarray:

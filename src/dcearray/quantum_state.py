@@ -12,9 +12,12 @@ occupation N_T per mode the second moments in the waveguide basis are
 
 All higher moments follow from Wick's theorem, and the two-qutrit density
 matrix is the exact Gaussian Fock block.  Both come from one multidimensional
-Hermite recursion over the second moments (:func:`_hermite`): a Wick moment
-is its value for the matrix of contractions, and a Fock element its value
-for a matrix built from the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).
+Hermite recursion over the second moments (:class:`_Hermite`), a table that
+fills each entry on its first lookup: a Wick moment is its value for the
+matrix of contractions, and a Fock element its value for a matrix built from
+the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).  A state builds its
+tables of contractions once and serves every Wick moment from them; a
+qutrit block reads its 81 entries from one table per call.
 
 The output state, the density matrices and the qutrit values take a drive
 at one point or at a batch of K points (eps of shape (K, N), a leading axis
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -100,6 +104,46 @@ def _mode_moments(eps, n_thermal: float) -> tuple:
     return occ, u * v * (1.0 + 2.0 * n_thermal)
 
 
+class _Hermite(dict):
+    """Lazily filled multidimensional Hermite table H[k] over a matrix b.
+
+    H(0) = 1 and H(k + e_i) = sum_j b_ij k_j H(k - e_j) (Miatto & Quesada,
+    Quantum 4, 366 (2020)), i the first operator the entry counts.  An entry
+    is computed on its first lookup, from the entries it needs, and kept.
+    H(k) sums the perfect matchings of a word with k_i copies of operator i,
+    weighting each pair (i, j) by the symmetric b_ij: the Wick moments and,
+    scaled by 1/sqrt(k!), the Gaussian Fock elements.  ``b`` is nested lists
+    and the table a dict, because numpy containers are slower at these
+    sizes.  The entries of ``b`` are scalars, or (K,) arrays that run K
+    tables at once.  Every sum starts from ``zero`` = 0j b_ff, shaped as the
+    entries; ``first`` picks f, and so the signs of the zero parts.
+    """
+
+    def __init__(self, b: list, first: int = 0):
+        super().__init__()
+        self.b = b
+        self.zero = 0.0j * b[first][first]
+
+    def __missing__(self, k: tuple):
+        if sum(k) % 2:  # the recursion keeps parity: odd orders vanish
+            value = self.zero
+        else:
+            i = next((i for i, count in enumerate(k) if count), None)
+            if i is None:
+                value = self.zero + 1.0
+            else:
+                prev = list(k)
+                prev[i] -= 1
+                value = self.zero
+                for j, count in enumerate(prev):
+                    if count:
+                        prev[j] -= 1
+                        value = value + count * self.b[i][j] * self[tuple(prev)]
+                        prev[j] += 1
+        self[k] = value
+        return value
+
+
 @dataclass(frozen=True)
 class GaussianOutputState:
     """Normal and anomalous second moments of the output waveguide modes."""
@@ -111,6 +155,21 @@ class GaussianOutputState:
     @property
     def n_modes(self) -> int:
         return self.number.shape[-1]
+
+    @cached_property
+    def _wick_tables(self) -> list:
+        """Hermite tables over the contractions B = [[M^*, N], [N^T, M]].
+
+        Table f serves the words whose first operator is f and starts from
+        0j B_ff, so each zero part keeps the sign of a table restricted to
+        the word's own operators.  Built on the first :func:`wick_moment`
+        of a one-point state and shared by every later one; the moments
+        must not change after that.
+        """
+        number, anomalous = self.number.tolist(), self.anomalous.tolist()
+        b = [[m.conjugate() for m in row] + n_row for row, n_row in zip(anomalous, number)]
+        b += [list(n_col) + row for n_col, row in zip(zip(*number), anomalous)]
+        return [_Hermite(b, first) for first in range(len(b))]
 
 
 def output_gaussian(
@@ -126,47 +185,11 @@ def output_gaussian(
     )
 
 
-def _hermite(b: list, top: tuple) -> dict:
-    """Loop-free multidimensional Hermite table H[k] for every 0 <= k <= top.
-
-    H(0) = 1 and H(k + e_i) = sum_j b_ij k_j H(k - e_j) (Miatto & Quesada,
-    Quantum 4, 366 (2020)), filled in lexicographic order of k.  H(k) sums
-    the perfect matchings of a word with k_i copies of operator i, weighting
-    each pair (i, j) by the symmetric b_ij: the Wick moments and, scaled by
-    1/sqrt(k!), the Gaussian Fock elements.  ``b`` is nested lists and the
-    table a dict, because numpy containers are slower at these sizes.  The
-    entries of ``b`` are scalars, or (K,) arrays that run K tables at once.
-    """
-    zero = 0.0j * b[0][0] if b else 0.0j  # shaped as the entries
-    h = {}
-    # lexicographic order visits every k - e_i - e_j before k
-    for k in product(*(range(t + 1) for t in top)):
-        if sum(k) % 2:  # the recursion keeps parity: odd orders vanish
-            h[k] = zero
-            continue
-        for i, count in enumerate(k):
-            if count:
-                break
-        else:
-            h[k] = zero + 1.0
-            continue
-        prev = list(k)
-        prev[i] -= 1
-        value = zero
-        for j, count in enumerate(prev):
-            if count:
-                prev[j] -= 1
-                value = value + count * b[i][j] * h[tuple(prev)]
-                prev[j] += 1
-        h[k] = value
-    return h
-
-
 def _entries(a: np.ndarray) -> list:
     """Nested lists of the entries of a matrix, or of a stack of K matrices.
 
     One matrix (a stack of one included) gives Python scalars, several give
-    (K,) arrays: a (1,) array costs _hermite about four times a scalar.
+    (K,) arrays: a (1,) array costs _Hermite about four times a scalar.
     """
     m = a.shape[-1]
     if a.size == m * m:
@@ -179,10 +202,18 @@ def wick_moment(state: GaussianOutputState, word) -> complex:
 
     ``word`` is a sequence of ``(mode_index, dagger)`` pairs with every
     daggered operator preceding every undaggered one.  By Wick's theorem the
-    moment is the Hermite table of :func:`_hermite` at the per-mode counts
+    moment is the Hermite table of :class:`_Hermite` at the per-mode counts
     k = dag + ann, with the contractions B = [[M^*, N], [N^T, M]],
-    N = <a^dag a>, M = <a a>, restricted to the operators the word uses.
+    N = <a^dag a>, M = <a a>.  The tables are the state's ``_wick_tables``:
+    every word of one state with the same first operator reads and extends
+    the same table, and an entry needs only the operators its word uses.
+    The state must be one point.
     """
+    if state.number.ndim != 2:
+        raise ValueError(
+            "Wick moments take one point; the state's number moments have "
+            f"shape {state.number.shape}"
+        )
     n = state.n_modes
     seen_annihilator = False
     dag = [0] * n
@@ -199,16 +230,13 @@ def wick_moment(state: GaussianOutputState, word) -> complex:
         else:
             seen_annihilator = True
             ann[mode] += 1
-    if (sum(dag) + sum(ann)) % 2 == 1:
-        return 0.0j
-    # contractions of (a_1^dag..a_n^dag, a_1..a_n) in normal order
-    number, anomalous = state.number.tolist(), state.anomalous.tolist()
-    b = [[m.conjugate() for m in row] + n_row for row, n_row in zip(anomalous, number)]
-    b += [list(n_col) + row for n_col, row in zip(zip(*number), anomalous)]
     counts = dag + ann
-    used = [i for i, count in enumerate(counts) if count]
-    top = tuple(counts[i] for i in used)
-    return _hermite([[b[i][j] for j in used] for i in used], top)[top]
+    if sum(counts) % 2 == 1:
+        return 0.0j
+    first = next((i for i, count in enumerate(counts) if count), None)
+    if first is None:
+        return 1.0 + 0.0j
+    return state._wick_tables[first][tuple(counts)]
 
 
 @dataclass(frozen=True)
@@ -226,16 +254,23 @@ class TruncatedDensityMatrix:
     errors: dict = field(default_factory=dict)
 
 
+# the two-qutrit photon numbers (n_1, n_2, n'_1, n'_2) in the order of rho's
+# entries, and sqrt(n_1! n_2! n'_1! n'_2!) of each
+_QUTRIT_KEYS = list(product(range(QUTRIT_LEVELS), repeat=4))
+_QUTRIT_ROOTS = [math.sqrt(math.prod(map(math.factorial, k))) for k in _QUTRIT_KEYS]
+
+
 def _fock_block(state: GaussianOutputState) -> np.ndarray:
-    """Exact Fock elements <n m| rho |n' m'> of a zero-mean Gaussian state.
+    """Exact Fock elements <n m| rho |n' m'> of a two-guide Gaussian state.
 
     With Q = [[N^T + I, M], [M^*, N + I]], N = <a^dag a>, M = <a a>, and
     A = X (I - Q^-1)^*, where X swaps the two halves,
     rho[k_bra, k_ket] = det(Q)^(-1/2) H_A(k) / sqrt(k!), where k joins the two
-    photon-number tuples and H_A is the Hermite table of :func:`_hermite`
-    (Miatto & Quesada, Quantum 4, 366 (2020)).  Every guide runs over
-    0..QUTRIT_LEVELS-1; the block is not renormalized.  A batch of states
-    runs one recursion over stacked Q.
+    photon-number tuples and H_A is the Hermite table of :class:`_Hermite`
+    (Miatto & Quesada, Quantum 4, 366 (2020)).  Both guides run over
+    0..QUTRIT_LEVELS-1: the 81 entries of ``_QUTRIT_KEYS``, each divided by
+    its sqrt(k!) from ``_QUTRIT_ROOTS``.  The block is not renormalized.  A
+    batch of states runs one recursion over stacked Q.
     """
     n = state.n_modes
     eye = np.eye(n)
@@ -247,11 +282,8 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     )
     swap = np.roll(np.eye(2 * n), n, axis=0)
     a = swap @ np.conj(np.eye(2 * n) - np.linalg.inv(q))
-    h = _hermite(_entries(a), (QUTRIT_LEVELS - 1,) * (2 * n))
-    g = [
-        value / math.sqrt(math.prod(math.factorial(count) for count in k))
-        for k, value in h.items()
-    ]
+    h = _Hermite(_entries(a))
+    g = [h[k] / root for k, root in zip(_QUTRIT_KEYS, _QUTRIT_ROOTS)]
     dim = QUTRIT_LEVELS**n
     rho = np.moveaxis(np.array(g).reshape(dim * dim, -1), -1, 0)
     rho = rho.reshape(q.shape[:-2] + (dim, dim))

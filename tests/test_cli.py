@@ -949,11 +949,35 @@ def test_bare_negative_exponent_is_a_flag_value(args, thetas, capsys):
     assert [row.split(",")[0] for row in rows] == thetas
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--theta-rad", "-inf", "theta_rad='-inf' is not finite"),
+        ("--theta-rad", "-nan", "theta_rad='-nan' is not finite"),
+        ("--temperature-mk", "-5,25", "temperature_mk must be non-negative, got -5.0"),
+    ],
+    ids=["inf", "nan", "temperatures"],
+)
+def test_bare_dash_word_reaches_the_key_parser(flag, value, message, capsys):
+    base = ["sweep", "--target-occupancy", "0.1"]
+    for args in ([flag, value], [f"{flag}={value}"]):
+        assert main(base + args) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_flag_without_a_value_stays_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--target-occupancy", "0.1", "--theta-rad"])
     assert info.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["-h", "--n"])
+def test_option_after_a_flag_stays_an_option(option, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--target-occupancy", "0.1", "--theta-rad", option, "2"])
+    assert info.value.code == 2
+    assert "argument --theta-rad: expected one argument" in capsys.readouterr().err
 
 
 def test_readme_key_table_names_every_config_key():

@@ -191,3 +191,34 @@ def test_fock_element_matches_moment_structure():
     elem = fock_element(state, (2, 0), (0, 2))
     assert abs(elem) > 0.0
     assert abs(elem.imag) < 1e-12
+
+
+def test_memoised_expansions_serve_alternating_bases():
+    # chain-2, a rotated two-mode basis and a three-mode basis take turns
+    # through the per-mode paths; the first two share every memo key but
+    # the basis
+    turn = np.array([[math.cos(0.3), math.sin(0.3)], [-math.sin(0.3), math.cos(0.3)]])
+    states = [
+        build_state([0.15, -0.1], C2, n_thermal=0.02, cutoff=12, deficit_tol=1e-6),
+        build_state([0.01, -0.008, 0.005], C3, cutoff=4, deficit_tol=1e-6),
+        build_state([0.15, -0.1], turn, n_thermal=0.02, cutoff=12, deficit_tol=1e-6),
+    ]
+    for _ in range(2):
+        for state in states:
+            for (dag, low), value in normal_moments(state, totals=(2, 4)).items():
+                word = [(i, True) for i, d in enumerate(dag) for _ in range(d)]
+                word += [(i, False) for i, k in enumerate(low) for _ in range(k)]
+                assert abs(value - moment(state, word)) <= 1e-12
+            counts = list(product(range(3), repeat=state.space.n_modes))
+            block = fock_block(state, levels=3)
+            for row, bra in enumerate(counts):
+                for col, ket in enumerate(counts):
+                    assert abs(block[row, col] - fock_element(state, bra, ket)) <= 1e-12
+
+
+def test_memoised_expansion_is_read_only():
+    words = [(0, 0), (1, 0), (1, 1)]
+    coeffs = oracle._expansion(C2, words, 2)
+    assert oracle._expansion(C2.copy(), list(words), 2) is coeffs
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs[0, 0] = 2.0

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -183,33 +184,92 @@ def test_wick_matches_oracle_moments(eps, n_thermal, topology, cutoff, totals):
     assert gap <= 1e-6
 
 
+def _contraction(state, left, right):
+    """<left right> of two ladder operators, left one first."""
+    (i, dag_i), (j, dag_j) = left, right
+    if dag_i and dag_j:
+        return np.conj(state.anomalous[i, j])
+    if dag_i:
+        return state.number[i, j]
+    return state.anomalous[i, j]
+
+
+def _matchings(ops):
+    """Every perfect matching of a list of operators, as lists of pairs."""
+    if not ops:
+        yield []
+        return
+    for k in range(1, len(ops)):
+        for rest in _matchings(ops[1:k] + ops[k + 1:]):
+            yield [(ops[0], ops[k])] + rest
+
+
+def _matching_sum(state, word):
+    """Wick's theorem written out: the sum over perfect matchings."""
+    return sum(
+        np.prod([_contraction(state, *pair) for pair in m]) for m in _matchings(word)
+    )
+
+
 def test_wick_six_operator_word_sums_fifteen_matchings():
     spec = eigendecompose(build_laplacian(ArrayTopology.ring(8)))
     state = output_gaussian(modes_at(math.pi / 4.0, 0.7, da0=3e-25, spectrum=spec),
                             spec, 0.04)
     word = [(0, True), (3, True), (5, True), (0, False), (3, False), (5, False)]
-
-    def contraction(left, right):
-        (i, dag_i), (j, dag_j) = left, right
-        if dag_i and dag_j:
-            return np.conj(state.anomalous[i, j])
-        if dag_i:
-            return state.number[i, j]
-        return state.anomalous[i, j]
-
-    def matchings(ops):
-        if not ops:
-            yield []
-            return
-        for k in range(1, len(ops)):
-            for rest in matchings(ops[1:k] + ops[k + 1:]):
-                yield [(ops[0], ops[k])] + rest
-
-    pairings = list(matchings(word))
-    assert len(pairings) == 15
-    expected = sum(np.prod([contraction(*p) for p in m]) for m in pairings)
+    assert len(list(_matchings(word))) == 15
+    expected = _matching_sum(state, word)
     assert abs(expected) > 1e-12
     assert wick_moment(state, word) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    c, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return state_from_eps(rng.uniform(-0.3, 0.3, n), rng.uniform(0.0, 0.2), c=c)
+
+
+def _words(n, max_total):
+    """Every normal-ordered word of n modes with at most max_total operators."""
+    for counts in product(range(max_total + 1), repeat=2 * n):
+        if sum(counts) <= max_total:
+            yield _word(counts[:n], counts[n:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wick_matches_the_perfect_matching_sum(n):
+    # one state answers every word up to total 6 from its shared tables
+    state = _random_state(n, seed=n)
+    for word in _words(n, 6):
+        expected = _matching_sum(state, word) if len(word) % 2 == 0 else 0.0
+        assert abs(wick_moment(state, word) - expected) <= 1e-14, word
+
+
+def test_wick_alternating_states_keep_their_own_values():
+    words = list(_words(2, 4))
+    states = [_random_state(2, seed) for seed in (11, 12)]
+    # each reference value from a new state that answers that word alone
+    fresh = [[wick_moment(_random_state(2, seed), w) for w in words] for seed in (11, 12)]
+    assert fresh[0] != fresh[1]
+    for _ in range(2):
+        for k, word in enumerate(words):
+            for state, values in zip(states, fresh):
+                assert wick_moment(state, word) == values[k]
+
+
+def test_wick_repeated_word_returns_the_identical_value():
+    state = _random_state(3, seed=5)
+    word = [(0, True), (2, True), (1, False), (1, False)]
+    first = wick_moment(state, word)
+    assert first != 0.0
+    assert wick_moment(state, word) is first
+
+
+def test_wick_rejects_a_batched_state():
+    state = output_gaussian(
+        modes_at(math.pi / 4.0, np.array([0.3, 0.6, 0.9])), SPEC2, 0.025
+    )
+    with pytest.raises(ValueError, match=r"one point.*\(3, 2, 2\)"):
+        wick_moment(state, [(0, True), (0, False)])
 
 
 def test_density_matrix_vacuum():
