@@ -12,12 +12,13 @@ occupation N_T per mode the second moments in the waveguide basis are
 
 All higher moments follow from Wick's theorem, and the two-qutrit density
 matrix is the exact Gaussian Fock block.  Both come from one multidimensional
-Hermite recursion over the second moments (:class:`_Hermite`), a table that
-fills each entry on its first lookup: a Wick moment is its value for the
+Hermite recursion over the second moments: a Wick moment is its value for the
 matrix of contractions, and a Fock element its value for a matrix built from
-the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).  A state builds its
-tables of contractions once and serves every Wick moment from them; a
-qutrit block reads its 81 entries from one table per call.
+the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).  A Wick word reads a few
+entries of a key space that grows with the modes, at one point: a state fills
+its tables of contractions (:class:`_Hermite`) on first lookup and serves
+every word from them.  A qutrit block reads the same 81 keys over a batch, in
+one numpy step per even photon number (:func:`_fock_block`).
 
 The output state, the density matrices and the qutrit values take a drive
 at one point or at a batch of K points (eps of shape (K, N), a leading axis
@@ -31,11 +32,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
 
+from .constants import HBAR, K_B
 from .drive import ModeResponse
 from .errors import (
     NotNormalized,
@@ -68,8 +70,6 @@ def thermal_occupation(omega, temperature: float):
 
     Zero at T = 0, at omega <= 0 and where hbar omega / k_B T exceeds 700.
     """
-    from .constants import HBAR, K_B
-
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     omega = np.asarray(omega, dtype=float)
@@ -112,11 +112,13 @@ class _Hermite(dict):
     is computed on its first lookup, from the entries it needs, and kept.
     H(k) sums the perfect matchings of a word with k_i copies of operator i,
     weighting each pair (i, j) by the symmetric b_ij: the Wick moments and,
-    scaled by 1/sqrt(k!), the Gaussian Fock elements.  ``b`` is nested lists
-    and the table a dict, because numpy containers are slower at these
-    sizes.  The entries of ``b`` are scalars, or (K,) arrays that run K
-    tables at once.  Every sum starts from ``zero`` = 0j b_ff, shaped as the
-    entries; ``first`` picks f, and so the signs of the zero parts.
+    scaled by 1/sqrt(k!), the Gaussian Fock elements.  It serves
+    :func:`wick_moment`, whose words read a few entries of a possibly huge
+    key space at one point, so ``b`` is nested lists of Python scalars and
+    the table a dict: numpy is slower there.  :func:`_fock_block` runs the
+    recursion over a fixed set of keys and a batch instead.  Every sum
+    starts from ``zero`` = 0j b_ff; ``first`` picks f, and so the signs of
+    the zero parts.
     """
 
     def __init__(self, b: list, first: int = 0):
@@ -185,18 +187,6 @@ def output_gaussian(
     )
 
 
-def _entries(a: np.ndarray) -> list:
-    """Nested lists of the entries of a matrix, or of a stack of K matrices.
-
-    One matrix (a stack of one included) gives Python scalars, several give
-    (K,) arrays: a (1,) array costs _Hermite about four times a scalar.
-    """
-    m = a.shape[-1]
-    if a.size == m * m:
-        return a.reshape(m, m).tolist()
-    return [list(row) for row in np.moveaxis(a, 0, -1)]
-
-
 def wick_moment(state: GaussianOutputState, word) -> complex:
     """Normal-ordered Gaussian moment of a word of ladder operators.
 
@@ -254,10 +244,37 @@ class TruncatedDensityMatrix:
     errors: dict = field(default_factory=dict)
 
 
-# the two-qutrit photon numbers (n_1, n_2, n'_1, n'_2) in the order of rho's
-# entries, and sqrt(n_1! n_2! n'_1! n'_2!) of each
-_QUTRIT_KEYS = list(product(range(QUTRIT_LEVELS), repeat=4))
-_QUTRIT_ROOTS = [math.sqrt(math.prod(map(math.factorial, k))) for k in _QUTRIT_KEYS]
+@cache
+def _qutrit_schedule() -> tuple:
+    """Index schedule of :func:`_fock_block`'s recursion over the 81 keys.
+
+    Key k = (n_1, n_2, n'_1, n'_2) is entry k . (27, 9, 3, 1) of rho.  With i
+    the first operator k counts and p = k - e_i, H(k) = sum_j A_ij p_j
+    H(p - e_j) over the j with p_j > 0, in order.  Returns the column of
+    sqrt(k!) of every key and, per even degree 2..8, its keys and (term, key)
+    tables of the counts p_j, the indices of A_ij in the flattened
+    (I - Q^-1)^*, whose row i + 2 mod 4 is row i of A, and the keys p - e_j;
+    shorter sums are padded with count 0 and key 0.  Built on the first call.
+    """
+    stride = (27, 9, 3, 1)
+    keys = list(product(range(QUTRIT_LEVELS), repeat=4))
+    roots = np.array([[math.sqrt(math.prod(map(math.factorial, k)))] for k in keys])
+    degrees = []
+    for degree in (2, 4, 6, 8):
+        rows, terms = [], []
+        for row, k in enumerate(keys):
+            if sum(k) == degree:
+                i = next(i for i, count in enumerate(k) if count)
+                p = [count - (j == i) for j, count in enumerate(k)]
+                rows.append(row)
+                terms.append([(p[j], 4 * ((i + 2) % 4) + j, row - stride[i] - stride[j])
+                              for j in range(4) if p[j]])
+        width = max(map(len, terms))  # the longest sum of the degree
+        table = [t + [(0, 0, 0)] * (width - len(t)) for t in terms]
+        counts, cells, sources = np.array(table).T
+        counts = counts[..., None].astype(float)
+        degrees.append((np.array(rows), counts, cells, sources))
+    return roots, degrees
 
 
 def _fock_block(state: GaussianOutputState) -> np.ndarray:
@@ -266,27 +283,29 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     With Q = [[N^T + I, M], [M^*, N + I]], N = <a^dag a>, M = <a a>, and
     A = X (I - Q^-1)^*, where X swaps the two halves,
     rho[k_bra, k_ket] = det(Q)^(-1/2) H_A(k) / sqrt(k!), where k joins the two
-    photon-number tuples and H_A is the Hermite table of :class:`_Hermite`
+    photon-number tuples and H_A is the Hermite recursion of :class:`_Hermite`
     (Miatto & Quesada, Quantum 4, 366 (2020)).  Both guides run over
-    0..QUTRIT_LEVELS-1: the 81 entries of ``_QUTRIT_KEYS``, each divided by
-    its sqrt(k!) from ``_QUTRIT_ROOTS``.  The block is not renormalized.  A
-    batch of states runs one recursion over stacked Q.
+    0..QUTRIT_LEVELS-1, so every block reads the same 81 keys, over a batch:
+    one numpy step per even degree |k| fills its keys at every point from
+    the degree below, along :func:`_qutrit_schedule`.  The table holds the
+    keys by row and the points (one for a single state) along its columns,
+    so rho keeps the points fastest in memory: the batched entropies and
+    fidelities round by that layout.  Each sum starts from 0j A_00, as
+    :class:`_Hermite`'s do, and the odd degrees hold that zero.  The block
+    is not renormalized.
     """
-    n = state.n_modes
-    eye = np.eye(n)
-    q = np.block(
-        [
-            [np.swapaxes(state.number, -1, -2) + eye, state.anomalous],
-            [np.conj(state.anomalous), state.number + eye],
-        ]
-    )
-    swap = np.roll(np.eye(2 * n), n, axis=0)
-    a = swap @ np.conj(np.eye(2 * n) - np.linalg.inv(q))
-    h = _Hermite(_entries(a))
-    g = [h[k] / root for k, root in zip(_QUTRIT_KEYS, _QUTRIT_ROOTS)]
-    dim = QUTRIT_LEVELS**n
-    rho = np.moveaxis(np.array(g).reshape(dim * dim, -1), -1, 0)
-    rho = rho.reshape(q.shape[:-2] + (dim, dim))
+    roots, degrees = _qutrit_schedule()
+    number, anomalous = state.number, state.anomalous
+    top = np.concatenate([np.swapaxes(number, -1, -2), anomalous], axis=-1)
+    bottom = np.concatenate([np.conj(anomalous), number], axis=-1)
+    q = np.concatenate([top, bottom], axis=-2) + np.eye(4)
+    c = np.conj(np.eye(4) - np.linalg.inv(q)).reshape(-1, 16).T  # (16, points)
+    zero = 0.0j * c[8]  # 0j A_00
+    h = np.repeat(zero[None], len(roots), axis=0)
+    h[0] = zero + 1.0
+    for rows, counts, cells, sources in degrees:
+        h[rows] = sum(counts * c[cells] * h[sources], zero)
+    rho = (h / roots).T.reshape(q.shape[:-2] + (9, 9))
     return rho / np.sqrt(np.linalg.det(q).real)[..., None, None]
 
 

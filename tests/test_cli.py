@@ -750,7 +750,10 @@ def test_batch_rows_match_cell_by_cell_formatting(config, errors):
 
 
 def _calibrated_point(topology, theta, target):
-    """(spectrum, line, drive, modes) of the CLI defaults, calibrated at one angle."""
+    """(spectrum, line, drive, modes) of the CLI defaults, calibrated at ``theta``.
+
+    ``theta`` is one angle, or an array of them that the drive runs as a batch.
+    """
     from dcearray.drive import (
         DriveParams, LineParams, calibrate_da0_over_grid, mode_response,
     )
@@ -760,7 +763,7 @@ def _calibrated_point(topology, theta, target):
     line = LineParams(z0=55.0, v=1.2e8)
     seed = DriveParams(a0=1e-23, da0=1e-23 * 1e-3, phi=math.pi / 4.0, theta=theta,
                        omega_d=2.0 * math.pi * 10.3e9)
-    drive = calibrate_da0_over_grid(seed, line, spectrum, np.array([theta]), target)
+    drive = calibrate_da0_over_grid(seed, line, spectrum, np.atleast_1d(theta), target)
     return spectrum, line, drive, mode_response(drive, line, spectrum)
 
 
@@ -831,6 +834,33 @@ def _oracle_check_lines(theta, target, t_mk):
             "# status: ok"]
 
 
+def _entangle_lines(thetas, target, temps_mk):
+    from dcearray.lattice import ArrayTopology
+    from dcearray.quantum_state import (
+        density_matrix, maximally_entangled_fidelity, noon_fidelity, output_gaussian,
+        von_neumann_entropy,
+    )
+
+    chain = ArrayTopology.open_chain(2)
+    spectrum, _, _, modes = _calibrated_point(chain, thetas, target)
+    lines = ["# theta,phi,temperature_mk,entropy,f_noon,f_eq10,error"]
+    first = None
+    for t_mk in temps_mk:
+        temp = t_mk * 1e-3
+        tdm = density_matrix(output_gaussian(modes, spectrum, temp))
+        first = tdm.rho[0] if first is None else first
+        values = (von_neumann_entropy(tdm), noon_fidelity(tdm),
+                  maximally_entangled_fidelity(tdm))
+        lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," % (theta, math.pi / 4.0,
+                                                           temp * 1e3, *cells)
+                  for theta, *cells in zip(thetas, *values)]
+    lines.append("# status: ok")
+    if len(thetas) == 1:  # a single-theta run dumps the rho of its row
+        lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
+        lines += [",".join("%.17g" % x for x in row) for row in first.view(float)]
+    return lines
+
+
 RING64 = ["--topology", "ring", "--n", "64", "--target-occupancy", "0.1"]
 WARM_POINT = ["--target-occupancy", "0.3", "--theta-rad", "1.3"]
 
@@ -844,8 +874,14 @@ WARM_POINT = ["--target-occupancy", "0.3", "--theta-rad", "1.3"]
         (["calibrate", *WARM_POINT], lambda: _calibrate_lines(1.3, 0.3)),
         (["oracle-check", *WARM_POINT, "--temperature-mk", "25"],
          lambda: _oracle_check_lines(1.3, 0.3, 25.0)),
+        (["entangle", "--target-occupancy", "0.1", "--theta-start", "0.3",
+          "--theta-end", "2.8", "--theta-steps", "6", "--temperature-mk", "25,40"],
+         lambda: _entangle_lines(np.linspace(0.3, 2.8, 6), 0.1, (25.0, 40.0))),
+        (["entangle", *WARM_POINT, "--temperature-mk", "40"],
+         lambda: _entangle_lines(np.array([1.3]), 0.3, (40.0,))),
     ],
-    ids=["spectrum-ring64", "time-delay-ring64", "calibrate", "oracle-check-cutoff28"],
+    ids=["spectrum-ring64", "time-delay-ring64", "calibrate", "oracle-check-cutoff28",
+         "entangle-grid-25-40mk", "entangle-point-rho"],
 )
 def test_table_commands_match_library_calls(args, reference, tmp_path):
     # each cell is the %.17g of the library value, row by row

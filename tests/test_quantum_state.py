@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from dcearray.errors import NotNormalized, NotNormalOrdered
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.quantum_state import (
     GaussianOutputState,
+    _fock_block,
     density_matrix,
     maximally_entangled_fidelity,
     noon_fidelity,
@@ -270,6 +275,76 @@ def test_wick_rejects_a_batched_state():
     )
     with pytest.raises(ValueError, match=r"one point.*\(3, 2, 2\)"):
         wick_moment(state, [(0, True), (0, False)])
+
+
+def _stacked(points):
+    """One batched state from (eps, n_thermal) pairs."""
+    states = [state_from_eps(eps, n_thermal=nt) for eps, nt in points]
+    return GaussianOutputState(
+        number=np.stack([s.number for s in states]),
+        anomalous=np.stack([s.anomalous for s in states]),
+        temperature=0.0,
+    )
+
+
+def _fock_reference(state):
+    """det(Q)^(-1/2) (perfect-matching sum over A) / sqrt(k!) for each qutrit key."""
+    n, m = state.number, state.anomalous
+    eye, nil = np.eye(2), np.zeros((2, 2))
+    q = np.block([[np.swapaxes(n, -1, -2) + eye, m], [np.conj(m), n + eye]])
+    a = np.block([[nil, eye], [eye, nil]]) @ np.conj(np.eye(4) - np.linalg.inv(q))
+    rho = np.zeros(n.shape[:-2] + (81,), dtype=complex)
+    for flat, k in enumerate(product(range(3), repeat=4)):
+        ops = [i for i, count in enumerate(k) for _ in range(count)]
+        total = sum(math.prod(a[..., i, j] for i, j in pairs)
+                    for pairs in _matchings(ops))
+        rho[..., flat] = total / math.sqrt(math.prod(map(math.factorial, k)))
+    rho = rho.reshape(n.shape[:-2] + (9, 9))
+    return rho / np.sqrt(np.linalg.det(q).real)[..., None, None]
+
+
+# thermal points; the first sits at the corner of criterion 6's box
+FOCK_POINTS = [([0.3, -0.3], 0.2), ([0.3, 0.28], 0.19), ([0.12, -0.05], 0.02),
+               ([-0.2, 0.15], 0.1)]
+
+
+def test_fock_block_matches_the_perfect_matching_sum():
+    state = _stacked(FOCK_POINTS)
+    block = _fock_block(state)
+    ref = _fock_reference(state)
+    assert block.shape == (len(FOCK_POINTS), 9, 9)
+    even = [sum(k) % 2 == 0 for k in product(range(3), repeat=4)]
+    assert np.min(np.abs(ref[1:].reshape(-1, 81)[:, even])) > 1e-5  # all 41 keys
+    gap = np.max(np.abs(block - ref))
+    print(f"81 entries x {len(FOCK_POINTS)} points: max gap {gap:.2e}")
+    assert gap <= 1e-14
+
+
+def test_fock_block_of_a_point_equals_its_batch_row():
+    block = _fock_block(_stacked(FOCK_POINTS))
+    for k, (eps, n_thermal) in enumerate(FOCK_POINTS):
+        point = _fock_block(state_from_eps(eps, n_thermal=n_thermal))
+        assert point.shape == (9, 9)
+        assert np.max(np.abs(point - block[k])) <= 1e-15
+
+
+def test_cli_import_leaves_the_qutrit_schedule_unbuilt():
+    # the schedule is built by the first qutrit block, so not in set-up time
+    code = (
+        "import numpy as np, dcearray.cli\n"
+        "from dcearray import quantum_state as qs\n"
+        "before = qs._qutrit_schedule.cache_info().currsize\n"
+        "qs.density_matrix(qs.GaussianOutputState(\n"
+        "    0.01 * np.eye(2, dtype=complex), 0.1j * np.eye(2), 0.02))\n"
+        "print(before, qs._qutrit_schedule.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_density_matrix_vacuum():
