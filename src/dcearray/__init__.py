@@ -1,5 +1,11 @@
 """Photon statistics of dynamical-Casimir radiation in waveguide arrays."""
 
+import os
+
+# Before numpy loads: OpenBLAS's pool spin-waits on matrices this small, costing CPU
+# for no wall time, and one thread keeps the CSV bytes independent of the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constants import FLUX_QUANTUM, HBAR, K_B
 from .correlations import (
     CorrelationSet,

@@ -3,6 +3,7 @@ import math
 import contextlib
 import io
 import re
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,40 @@ def test_entangle_single_point_emits_rho(tmp_path):
     # one sweep row plus nine rho rows of 18 numbers
     assert len(rho_rows) == 10
     assert len(rho_rows[-1].split(",")) == 18
+
+
+# The exact zero cells ("0") of the rho dump of `entangle --target-occupancy
+# 0.3 --theta-rad 1.3 --temperature-mk 40`, one string per row of re/im
+# pairs, "." for a nonzero cell: the post-selected vacuum row and column,
+# every cell of odd total photon number, and the one part of each even cell
+# that the drive's phase makes vanish.
+RHO_ZERO_CELLS = (
+    "000000000000000000",
+    "00.000.0000.000.00",
+    "0000.000.000.0000.",
+    "00.000.0000.000.00",
+    "0000.000.000.0000.",
+    "000.000.00.000.000",
+    "0000.000.000.0000.",
+    "000.000.00.000.000",
+    "00000.000.000.00.0",
+)
+
+
+def test_entangle_rho_dump_zero_cells_read_unsigned_zero(tmp_path):
+    out = tmp_path / "ent.csv"
+    assert main(["entangle", *WARM_POINT, "--temperature-mk", "40", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = [line.split(",") for line in
+            lines[lines.index("# rho: rows |n1 n2>, re/im pairs for the 9 columns") + 1:]]
+    # a zero prints as "0", never "-0", whichever seed or order of operations
+    # produced it
+    assert all(cell == "0" or float(cell) != 0.0 for row in rows for cell in row)
+    assert tuple("".join("0" if cell == "0" else "." for cell in row)
+                 for row in rows) == RHO_ZERO_CELLS
+    for bra, ket in product(range(9), repeat=2):
+        if (sum(divmod(bra, 3)) + sum(divmod(ket, 3))) % 2:
+            assert rows[bra][2 * ket:2 * ket + 2] == ["0", "0"]
 
 
 def test_calibrate_reports_da0(tmp_path):
