@@ -1,0 +1,59 @@
+"""What a CLI process inherits from its import, and how it exits.
+
+Every test runs fresh interpreters: pytest has imported ``dcearray.cli``
+already, so its own process shows the CLI's GC state, not a bare import's.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = dict(os.environ, PYTHONPATH=SRC)
+
+
+def _python(args, check=True):
+    return subprocess.run(
+        [sys.executable, *args], env=ENV, capture_output=True, check=check,
+    )
+
+
+def _gc_state(*modules):
+    """(freeze count, enabled, thresholds) of a fresh process after the imports."""
+    code = "".join(f"import {m}; " for m in ("gc", *modules))
+    code += "print((gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()))"
+    return ast.literal_eval(_python(["-c", code]).stdout.decode())
+
+
+def test_only_the_cli_freezes_the_heap_it_imports():
+    bare = _gc_state()
+    assert bare[:2] == (0, True)
+    assert _gc_state("dcearray") == bare
+
+    count, enabled, threshold = _gc_state("dcearray.cli")
+    assert count > 0
+    assert (enabled, threshold) == bare[1:]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # 467 KB, more than a pipe buffer holds
+        (["--target-occupancy", "0.1", "--theta-steps", "1500",
+          "--temperature-mk", "0,25,40"], 0),
+        # every 0 K point fails, so the run is partial
+        (["--da0-joule", "0", "--temperature-mk", "0,25", "--theta-steps", "5"], 2),
+    ],
+)
+def test_stdout_carries_the_out_file_bytes_and_the_exit_code(args, code, tmp_path):
+    command = ["-m", "dcearray.cli", "sweep", *args]
+    run = _python(command, check=False)
+    out = tmp_path / "sweep.csv"
+    to_file = _python([*command, "--out", str(out)], check=False)
+    assert (run.returncode, to_file.returncode) == (code, code)
+    assert to_file.stdout == b""
+    assert run.stdout == out.read_bytes()
