@@ -31,6 +31,7 @@ from .errors import (
     CutoffTooSmall,
     DceArrayError,
     MissingRequired,
+    NonFinite,
     RangeError,
     UnknownKey,
 )
@@ -318,8 +319,16 @@ def _prepare(config: RunConfig, theta) -> tuple:
     return spectrum, drive
 
 
+def _finite(values, what: str):
+    """``values``; NonFinite if one of them is inf or nan."""
+    if not np.isfinite(values).all():
+        raise NonFinite(f"{what} is not finite; the drive is beyond double precision")
+    return values
+
+
 def _table(header: str, *columns) -> list:
     """CSV lines of a float table: header, one row per index, status line."""
+    _finite(columns, f"a value of {header}")
     row = ",".join(["%.17g"] * len(columns))  # as _fmt
     return ["# " + header, *(row % cells for cells in zip(*columns)), "# status: ok"]
 
@@ -329,7 +338,8 @@ def _point_values(specs, modes, spectrum, temperature):
 
     A state is built when a token first reads it.  A failed point keeps its
     first error in token order, the state's before the value's: the error a
-    point evaluation raises.  A ``with_errors`` column is split into floats.
+    point evaluation raises.  A ``with_errors`` column is split into floats,
+    and a value that is inf or nan fails its point with NonFinite.
     """
     states = {}
     columns = []
@@ -344,6 +354,10 @@ def _point_values(specs, modes, spectrum, temperature):
             failed = {**{k: column[k] for k in bad}, **failed}
             column[bad] = math.nan
             column = column.astype(float)
+        for k in np.flatnonzero(~np.isfinite(column)).tolist():
+            failed.setdefault(k, NonFinite(
+                f"a value is {column[k]}; the drive is beyond double precision"
+            ))
         columns.append(column)
     return columns, failed, states.get(_qutrit_state)
 
@@ -416,7 +430,8 @@ def _run_spectrum(config: RunConfig) -> tuple:
     cells[::2] = [_fmt(w) for w in omegas.tolist()]
     lines = ["# omega_rad_s,temperature_mk,flux_1"]
     for temp in config.temperatures:
-        cells[1::2] = photon_flux_density(0, omegas, modes, spectrum, temp).tolist()
+        flux = photon_flux_density(0, omegas, modes, spectrum, temp)
+        cells[1::2] = _finite(flux, "a value of flux_1").tolist()
         row = "%s," + _fmt(temp * 1e3) + ",%.17g"  # as _fmt; one % per temperature
         lines.extend(("\n".join([row] * len(omegas)) % tuple(cells)).split("\n"))
     lines.append("# status: ok")
@@ -581,7 +596,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DceArrayError as exc:
+    except (DceArrayError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

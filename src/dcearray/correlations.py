@@ -59,14 +59,17 @@ class CorrelationSet:
     errors: dict = field(default_factory=dict)
 
     def _g2(self, rows, cols) -> np.ndarray:
-        """g2_ij = G2_ij / sqrt(G1_i G1_j) for i in rows and j in cols."""
+        """g2_ij = G2_ij / sqrt(G1_i G1_j) for i in rows and j in cols.
+
+        nan where G1_i G1_j overflows: there the quotient is not a g2.
+        """
         g1 = self.intensities
         norm = g1[..., rows, None] * g1[..., None, cols]
         g2 = _pair_sum(self.pair, self.modes, rows, cols) ** 2
         if self.number is not None:
             g2 = g2 + norm + _pair_sum(self.number, self.modes, rows, cols) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):  # failed points
-            return g2 / np.sqrt(norm)
+            return np.where(np.isinf(norm), np.nan, g2 / np.sqrt(norm))
 
     def g2(self, i: int, j: int):
         """g2_ij at the point, or at every point of a batch."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import FLUX_QUANTUM
-from .errors import NonPositiveModeEnergy, NoResponse
+from .errors import NonFinite, NonPositiveModeEnergy, NoResponse
 from .lattice import LaplacianSpectrum
 
 __all__ = [
@@ -141,7 +141,8 @@ def calibrate_da0_over_grid(
     Intensities scale exactly as da0^2, so one evaluation of the whole grid
     fixes the scale.  Lambda0 does not depend on theta, so a working point
     with a non-positive mode energy fails at every grid point and raises
-    NonPositiveModeEnergy.
+    NonPositiveModeEnergy.  A peak that overflows, or one so small that da0
+    overflows, raises NonFinite.
     """
     if not 0.0 < target_max_occupancy < 1.0:
         raise ValueError("target occupancy must lie in (0, 1)")
@@ -154,4 +155,6 @@ def calibrate_da0_over_grid(
     if peak == 0.0:
         raise NoResponse("no grid point produces a nonzero response")
     da0 *= math.sqrt(target_max_occupancy / peak)
+    if not 0.0 < da0 < math.inf:
+        raise NonFinite(f"peak occupancy {peak:.3g} over the grid gives da0 = {da0:.3g}")
     return DriveParams(a0=a0, da0=da0, phi=phi, theta=drive.theta, omega_d=omega_d)

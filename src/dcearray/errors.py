@@ -35,6 +35,10 @@ class NoResponse(DceArrayError):
     """All length modulations vanish; amplitude calibration has no solution."""
 
 
+class NonFinite(DceArrayError):
+    """A result is inf or nan: the drive is beyond double precision."""
+
+
 # -- correlations ----------------------------------------------------------
 
 class ZeroIntensity(DceArrayError):

@@ -14,10 +14,11 @@ All higher moments follow from Wick's theorem, and the two-qutrit density
 matrix is the exact Gaussian Fock block.  Both come from one multidimensional
 Hermite recursion over the second moments: a Wick moment is its value for the
 matrix of contractions, and a Fock element its value for a matrix built from
-the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).  A Wick word reads a few
+the covariance, scaled by det(Q)^(-1/2) / sqrt(k!).  The recursion's rule is
+:func:`_hermite_step`, and two evaluators run it.  A Wick word reads a few
 entries of a key space that grows with the modes, at one point: a state fills
-its tables of contractions (:class:`_Hermite`) on first lookup and serves
-every word from them.  A qutrit block reads the same 81 keys over a batch, in
+its one table of contractions (:class:`_Hermite`) on first lookup and serves
+every word from it.  A qutrit block reads the same 81 keys over a batch, in
 one numpy step per even photon number (:func:`_fock_block`).
 
 The output state, the density matrices and the qutrit values take a drive
@@ -104,44 +105,47 @@ def _mode_moments(eps, n_thermal: float) -> tuple:
     return occ, u * v * (1.0 + 2.0 * n_thermal)
 
 
+def _hermite_step(k: tuple) -> tuple:
+    """The Hermite recursion's rule at a key k that counts some operator.
+
+    H(0) = 1 and H(k) = sum_j b_ij p_j H(p - e_j) over the j with p_j > 0, in
+    order, where i is the first operator k counts and p = k - e_i (Miatto &
+    Quesada, Quantum 4, 366 (2020)).  Returns i and the terms (j, p_j, p - e_j).
+    """
+    i = list(map(bool, k)).index(True)
+    p = list(k)
+    p[i] -= 1
+    terms = []
+    for j, count in enumerate(p):
+        if count:
+            p[j] -= 1
+            terms.append((j, count, tuple(p)))
+            p[j] += 1
+    return i, terms
+
+
 class _Hermite(dict):
     """Lazily filled multidimensional Hermite table H[k] over a matrix b.
 
-    H(0) = 1 and H(k + e_i) = sum_j b_ij k_j H(k - e_j) (Miatto & Quesada,
-    Quantum 4, 366 (2020)), i the first operator the entry counts.  An entry
-    is computed on its first lookup, from the entries it needs, and kept.
     H(k) sums the perfect matchings of a word with k_i copies of operator i,
-    weighting each pair (i, j) by the symmetric b_ij: the Wick moments and,
-    scaled by 1/sqrt(k!), the Gaussian Fock elements.  It serves
-    :func:`wick_moment`, whose words read a few entries of a possibly huge
-    key space at one point, so ``b`` is nested lists of Python scalars and
-    the table a dict: numpy is slower there.  :func:`_fock_block` runs the
-    recursion over a fixed set of keys and a batch instead.  Every sum
-    starts from ``zero`` = 0j b_ff; ``first`` picks f, and so the signs of
-    the zero parts.
+    each pair (i, j) weighted by the symmetric b_ij.  Of the two evaluators
+    of :func:`_hermite_step` (the other is :func:`_fock_block`), this one
+    serves :func:`wick_moment`: a word reads a few entries of a possibly
+    huge key space at one point, so an entry is computed on first lookup and
+    kept, ``b`` is nested lists of Python scalars and the table a dict.
     """
 
-    def __init__(self, b: list, first: int = 0):
-        super().__init__()
-        self.b = b
-        self.zero = 0.0j * b[first][first]
+    def __init__(self, b: list):
+        self.b = b  # the dict itself starts empty
 
     def __missing__(self, k: tuple):
         if sum(k) % 2:  # the recursion keeps parity: odd orders vanish
-            value = self.zero
+            value = 0j
+        elif not any(k):
+            value = 1.0 + 0j
         else:
-            i = next((i for i, count in enumerate(k) if count), None)
-            if i is None:
-                value = self.zero + 1.0
-            else:
-                prev = list(k)
-                prev[i] -= 1
-                value = self.zero
-                for j, count in enumerate(prev):
-                    if count:
-                        prev[j] -= 1
-                        value = value + count * self.b[i][j] * self[tuple(prev)]
-                        prev[j] += 1
+            i, terms = _hermite_step(k)
+            value = sum((count * self.b[i][j] * self[p] for j, count, p in terms), 0j)
         self[k] = value
         return value
 
@@ -159,19 +163,16 @@ class GaussianOutputState:
         return self.number.shape[-1]
 
     @cached_property
-    def _wick_tables(self) -> list:
-        """Hermite tables over the contractions B = [[M^*, N], [N^T, M]].
+    def _wick_table(self) -> _Hermite:
+        """Hermite table over the contractions B = [[M^*, N], [N^T, M]].
 
-        Table f serves the words whose first operator is f and starts from
-        0j B_ff, so each zero part keeps the sign of a table restricted to
-        the word's own operators.  Built on the first :func:`wick_moment`
-        of a one-point state and shared by every later one; the moments
-        must not change after that.
+        Built on the first :func:`wick_moment` of a one-point state and
+        shared by every later one; the moments must not change after that.
         """
         number, anomalous = self.number.tolist(), self.anomalous.tolist()
         b = [[m.conjugate() for m in row] + n_row for row, n_row in zip(anomalous, number)]
         b += [list(n_col) + row for n_col, row in zip(zip(*number), anomalous)]
-        return [_Hermite(b, first) for first in range(len(b))]
+        return _Hermite(b)
 
 
 def output_gaussian(
@@ -194,10 +195,9 @@ def wick_moment(state: GaussianOutputState, word) -> complex:
     daggered operator preceding every undaggered one.  By Wick's theorem the
     moment is the Hermite table of :class:`_Hermite` at the per-mode counts
     k = dag + ann, with the contractions B = [[M^*, N], [N^T, M]],
-    N = <a^dag a>, M = <a a>.  The tables are the state's ``_wick_tables``:
-    every word of one state with the same first operator reads and extends
-    the same table, and an entry needs only the operators its word uses.
-    The state must be one point.
+    N = <a^dag a>, M = <a a>.  The table is the state's ``_wick_table``:
+    every word of one state reads and extends it, the empty word at 1 and
+    the odd ones at 0.  The state must be one point.
     """
     if state.number.ndim != 2:
         raise ValueError(
@@ -220,13 +220,7 @@ def wick_moment(state: GaussianOutputState, word) -> complex:
         else:
             seen_annihilator = True
             ann[mode] += 1
-    counts = dag + ann
-    if sum(counts) % 2 == 1:
-        return 0.0j
-    first = next((i for i, count in enumerate(counts) if count), None)
-    if first is None:
-        return 1.0 + 0.0j
-    return state._wick_tables[first][tuple(counts)]
+    return state._wick_table[tuple(dag + ann)]
 
 
 @dataclass(frozen=True)
@@ -248,27 +242,24 @@ class TruncatedDensityMatrix:
 def _qutrit_schedule() -> tuple:
     """Index schedule of :func:`_fock_block`'s recursion over the 81 keys.
 
-    Key k = (n_1, n_2, n'_1, n'_2) is entry k . (27, 9, 3, 1) of rho.  With i
-    the first operator k counts and p = k - e_i, H(k) = sum_j A_ij p_j
-    H(p - e_j) over the j with p_j > 0, in order.  Returns the column of
-    sqrt(k!) of every key and, per even degree 2..8, its keys and (term, key)
-    tables of the counts p_j, the indices of A_ij in the flattened
-    (I - Q^-1)^*, whose row i + 2 mod 4 is row i of A, and the keys p - e_j;
-    shorter sums are padded with count 0 and key 0.  Built on the first call.
+    Key k = (n_1, n_2, n'_1, n'_2) is entry k . (27, 9, 3, 1) of rho, and
+    H(k) follows :func:`_hermite_step`.  Returns the column of sqrt(k!) of
+    every key and, per even degree 2..8, its keys and (term, key) tables of
+    the counts p_j, the indices of A_ij in the flattened (I - Q^-1)^*, whose
+    row i + 2 mod 4 is row i of A, and the keys p - e_j; shorter sums are
+    padded with count 0 and key 0.  Built on the first call.
     """
-    stride = (27, 9, 3, 1)
     keys = list(product(range(QUTRIT_LEVELS), repeat=4))
     roots = np.array([[math.sqrt(math.prod(map(math.factorial, k)))] for k in keys])
-    degrees = []
+    sums, degrees = list(map(sum, keys)), []
     for degree in (2, 4, 6, 8):
         rows, terms = [], []
         for row, k in enumerate(keys):
-            if sum(k) == degree:
-                i = next(i for i, count in enumerate(k) if count)
-                p = [count - (j == i) for j, count in enumerate(k)]
+            if sums[row] == degree:
+                i, step = _hermite_step(k)
                 rows.append(row)
-                terms.append([(p[j], 4 * ((i + 2) % 4) + j, row - stride[i] - stride[j])
-                              for j in range(4) if p[j]])
+                terms.append([(count, 4 * ((i + 2) % 4) + j, 27 * a + 9 * b + 3 * c + d)
+                              for j, count, (a, b, c, d) in step])
         width = max(map(len, terms))  # the longest sum of the degree
         table = [t + [(0, 0, 0)] * (width - len(t)) for t in terms]
         counts, cells, sources = np.array(table).T
@@ -283,16 +274,15 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     With Q = [[N^T + I, M], [M^*, N + I]], N = <a^dag a>, M = <a a>, and
     A = X (I - Q^-1)^*, where X swaps the two halves,
     rho[k_bra, k_ket] = det(Q)^(-1/2) H_A(k) / sqrt(k!), where k joins the two
-    photon-number tuples and H_A is the Hermite recursion of :class:`_Hermite`
-    (Miatto & Quesada, Quantum 4, 366 (2020)).  Both guides run over
-    0..QUTRIT_LEVELS-1, so every block reads the same 81 keys, over a batch:
-    one numpy step per even degree |k| fills its keys at every point from
-    the degree below, along :func:`_qutrit_schedule`.  The table holds the
-    keys by row and the points (one for a single state) along its columns,
-    so rho keeps the points fastest in memory: the batched entropies and
-    fidelities round by that layout.  Each sum starts from 0j A_00, as
-    :class:`_Hermite`'s do, and the odd degrees hold that zero.  The block
-    is not renormalized.
+    photon-number tuples and H_A follows :func:`_hermite_step`.  Both guides
+    run over 0..QUTRIT_LEVELS-1, so every block reads the same 81 keys, over
+    a batch: one numpy step per even degree |k| fills its keys at every point
+    from the degree below, along :func:`_qutrit_schedule`.  The table holds
+    the keys by row and the points (one for a single state) along its
+    columns, so rho keeps the points fastest in memory: the batched entropies
+    and fidelities round by that layout.  Each sum starts from 0j A_00, and
+    the odd degrees hold that zero; the entangle rho dump prints these zeros'
+    signs.  The block is not renormalized.
     """
     roots, degrees = _qutrit_schedule()
     number, anomalous = state.number, state.anomalous

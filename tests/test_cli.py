@@ -1109,3 +1109,50 @@ def test_any_command_line_fails_cleanly_or_writes_finite_rows(argv):
     expected = f"partial ({failures} of {total} points failed)" if failures else "ok"
     assert lines[status] == f"# status: {expected}"
     assert rc == (2 if failures else 0)
+
+
+# Command lines that pass every parse-time check, yet whose drive overflows
+# double precision (inf or nan), with the exit code each must give: a grid
+# fails each such point in its own row (2), any other command fails (1).
+OVERFLOWING = [
+    (["calibrate", "--theta-rad", "1", "--target-occupancy", "0.1",
+      "--a0-joule", "1e-160"], 1),
+    (["calibrate", "--theta-rad", "1", "--target-occupancy", "0.1",
+      "--omega-d-rad-s", "1e300"], 1),
+    (["sweep", "--theta-steps", "3", "--temperature-mk", "0,25",
+      "--a0-joule", "1e-160", "--target-occupancy", "0.1"], 1),
+    (["sweep", "--theta-steps", "3", "--temperature-mk", "25",
+      "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 2),
+    (["sweep", "--theta-steps", "3", "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 2),
+    (["sweep", "--theta-steps", "3", "--omega-d-rad-s", "1e160", "--da0-joule", "1e-26"], 2),
+    (["broadband", "--theta-steps", "3", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 2),
+    (["time-delay", "--theta-rad", "1", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 1),
+    (["spectrum", "--theta-rad", "1", "--omega-d-rad-s", "1e300",
+      "--da0-joule", "1e-26"], 1),
+    (["entangle", "--theta-steps", "3", "--temperature-mk", "25",
+      "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 1),
+    (["oracle-check", "--theta-rad", "1", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 1),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.parametrize(
+    "args, code", OVERFLOWING,
+    ids=["calibrate-a0", "calibrate-omega-d", "sweep-calibrated-a0", "sweep-25mk-a0",
+         "sweep-0k-a0", "sweep-omega-d", "broadband-v", "time-delay-v", "spectrum-omega-d",
+         "entangle-singular", "oracle-check-eigh"],
+)
+def test_overflowing_drive_fails_its_points_or_its_run(args, code, capsys):
+    assert main(args) == code  # an uncaught error fails the test
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    header, *rows, status = out.splitlines()
+    lead = 1 if args[0] == "broadband" else 3  # theta, or theta, phi and T
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        assert cells[lead:-1] == [""] * (len(cells) - lead - 1), row
+        assert cells[-1].startswith("NonFinite: "), row
+    assert status == f"# status: partial ({len(rows)} of {len(rows)} points failed)"

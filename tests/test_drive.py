@@ -12,7 +12,7 @@ from dcearray.drive import (
     calibrate_da0_over_grid,
     mode_response,
 )
-from dcearray.errors import NonPositiveModeEnergy
+from dcearray.errors import NonFinite, NonPositiveModeEnergy
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 
 LINE = LineParams(z0=55.0, v=1.2e8)
@@ -171,6 +171,22 @@ def test_grid_calibration_bounds_every_point():
         )
         peaks.append(float(np.max(weights.T @ resp.eps**2)))
     assert max(peaks) == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        drive(math.pi / 4.0, 1.0, a0=1e-160, da0=1e-163),  # Lambda0^2 underflows
+        DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=1.0, omega_d=1e300),
+        drive(math.pi / 4.0, 1.0, da0=1e-180),  # a subnormal peak: da0 overflows
+    ],
+    ids=["eps-inf", "peak-overflows", "da0-overflows"],
+)
+def test_calibration_without_a_finite_da0_raises(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+        with pytest.raises(NonFinite, match="over the grid gives da0 = "):
+            calibrate_da0_over_grid(seed, LINE, two_guide_spectrum(), [1.0], 0.1)
 
 
 @pytest.mark.parametrize(

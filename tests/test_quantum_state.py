@@ -249,6 +249,11 @@ def test_wick_matches_the_perfect_matching_sum(n):
         assert abs(wick_moment(state, word) - expected) <= 1e-14, word
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wick_empty_word_is_one(n):
+    assert wick_moment(_random_state(n, seed=n), []) == 1.0
+
+
 def test_wick_alternating_states_keep_their_own_values():
     words = list(_words(2, 4))
     states = [_random_state(2, seed) for seed in (11, 12)]
