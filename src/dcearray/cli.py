@@ -33,6 +33,7 @@ from .errors import (
     MissingRequired,
     NonFinite,
     RangeError,
+    RingTooSmall,
     UnknownKey,
 )
 from .lattice import ArrayTopology, build_laplacian, eigendecompose
@@ -238,7 +239,10 @@ def parse_config(
     n_min = _MIN_N.get(command, 1)
     if n < n_min:
         raise RangeError(f"{command} needs n >= {n_min}, got n = {n}")
-    topology = values["topology"](n)
+    try:
+        topology = values["topology"](n)
+    except RingTooSmall as exc:  # a rule of the n key
+        raise RangeError(str(exc)) from None
     da0, target = values.get("da0_joule"), values.get("target_occupancy")
     if da0 is not None and target is not None:
         raise RangeError("da0_joule and target_occupancy are mutually exclusive")
@@ -487,6 +491,7 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     """Compare Wick-path moments and rho against the per-mode Fock oracle."""
     spectrum, drive = _prepare(config, config.thetas[0])
     modes = mode_response(drive, config.line, spectrum)
+    _finite(modes.eps, "a mode amplitude")  # the oracle's squeeze needs finite ones
     temp = config.temperatures[0]
     state = output_gaussian(modes, spectrum, temp)
     n_t = thermal_occupation(config.omega_d / 2.0, temp)
@@ -589,14 +594,15 @@ def main(argv=None) -> int:
             _write(config.out, "", "a")
             if not existed:
                 os.remove(config.out)
-        lines, failures = SUBCOMMANDS[args.command](config)
+        with np.errstate(all="ignore"):  # non-finite results fail their points or the run
+            lines, failures = SUBCOMMANDS[args.command](config)
         payload = "\n".join(lines) + "\n"
         if config.out:
             _write(config.out, payload, "w")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DceArrayError, np.linalg.LinAlgError) as exc:
+    except DceArrayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

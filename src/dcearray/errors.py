@@ -56,7 +56,7 @@ class NotNormalOrdered(DceArrayError):
 
 
 class NotNormalized(DceArrayError):
-    """Density matrix trace deviates from one."""
+    """Density matrix trace deviates from one, or a reduced state is not PSD."""
 
 
 # -- oracle ----------------------------------------------------------------

@@ -282,13 +282,18 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     columns, so rho keeps the points fastest in memory: the batched entropies
     and fidelities round by that layout.  Each sum starts from 0j A_00, and
     the odd degrees hold that zero; the entangle rho dump prints these zeros'
-    signs.  The block is not renormalized.
+    signs.  The block is not renormalized.  A point whose det(Q) is not finite
+    and positive is no state: its block is nan, and I takes its Q's place in
+    the inverse, which LAPACK takes matrix by matrix, so no other point moves.
     """
     roots, degrees = _qutrit_schedule()
     number, anomalous = state.number, state.anomalous
     top = np.concatenate([np.swapaxes(number, -1, -2), anomalous], axis=-1)
     bottom = np.concatenate([np.conj(anomalous), number], axis=-1)
     q = np.concatenate([top, bottom], axis=-2) + np.eye(4)
+    det = np.linalg.det(q).real
+    det = np.where(np.isfinite(det) & (det > 0.0), det, np.nan)
+    q = np.where(np.isnan(det)[..., None, None], np.eye(4), q)
     c = np.conj(np.eye(4) - np.linalg.inv(q)).reshape(-1, 16).T  # (16, points)
     zero = 0.0j * c[8]  # 0j A_00
     h = np.repeat(zero[None], len(roots), axis=0)
@@ -296,7 +301,7 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     for rows, counts, cells, sources in degrees:
         h[rows] = sum(counts * c[cells] * h[sources], zero)
     rho = (h / roots).T.reshape(q.shape[:-2] + (9, 9))
-    return rho / np.sqrt(np.linalg.det(q).real)[..., None, None]
+    return rho / np.sqrt(det)[..., None, None]
 
 
 def density_matrix(
@@ -406,52 +411,46 @@ def von_neumann_entropy(tdm: TruncatedDensityMatrix, traced_subsystem: int = 1):
     """Base-3 von Neumann entropy of the reduced single-qutrit state.
 
     Eigenvalues are clipped at zero with tolerance 1e-12 and 0*log(0) := 0;
-    the maximally entangled two-qutrit state gives exactly 1.  Over a batch,
-    a point whose trace is not 1 holds its NotNormalized error in its cell.
+    the maximally entangled two-qutrit state gives exactly 1.  A point whose
+    trace is not 1 or whose reduced state has an eigenvalue below -1e-12 fails
+    with NotNormalized, and one whose reduced state is not finite reads nan.
     """
     if traced_subsystem not in (0, 1):
         raise ValueError("traced_subsystem must be 0 or 1")
-    trace = np.trace(tdm.rho, 0, -2, -1).real
-    unnormalized = np.abs(trace - 1.0) > 1e-9
-    errors = point_errors(
-        unnormalized,
-        lambda k: NotNormalized(f"density matrix trace is {trace[k]:.12g}, expected 1"),
-    )
     blocks = tdm.rho.reshape(tdm.rho.shape[:-2] + (3, 3, 3, 3))  # [n, m, n', m']
     if traced_subsystem == 1:
         reduced = np.einsum("...nkpk->...np", blocks)
     else:
         reduced = np.einsum("...knkp->...np", blocks)
-    eigs = np.linalg.eigvalsh(reduced)
-    lowest = np.min(np.where(unnormalized, 0.0, eigs.min(axis=-1)))
-    if lowest < -1e-12:
-        raise ValueError(f"reduced state has eigenvalue {lowest:.3g} < 0")
+    finite = np.isfinite(reduced).all(axis=(-2, -1))
+    eigs = np.full(reduced.shape[:-1], np.nan)
+    eigs[finite] = np.linalg.eigvalsh(reduced[finite])
+    trace = np.trace(tdm.rho, 0, -2, -1).real
+    unnormalized = np.abs(trace - 1.0) > 1e-9
+    failed = unnormalized | (eigs.min(axis=-1) < -1e-12)
+    errors = point_errors(failed, lambda k: NotNormalized(
+        f"density matrix trace is {trace[k]:.12g}, expected 1" if unnormalized[k]
+        else f"reduced state has eigenvalue {eigs[k].min():.3g} < 0"))
     eigs = np.clip(eigs, 0.0, None)
     logs = np.log(np.where(eigs > 0.0, eigs, 1.0)) / math.log(3)
     return with_errors(-np.sum(eigs * logs, axis=-1), errors)
 
 
-def _fidelity_to(tdm: TruncatedDensityMatrix, psi: np.ndarray):
+def _fidelity_to(tdm: TruncatedDensityMatrix, levels: tuple):
+    """sqrt(<psi|rho|psi>), psi the equal superposition of rho indices ``levels``."""
+    if not tdm.post_selected:
+        raise ValueError("fidelity expects a post-selected state")
+    psi = np.zeros(9, dtype=complex)
+    psi[list(levels)] = 1.0 / math.sqrt(len(levels))
     overlap = np.real(psi.conj() @ tdm.rho @ psi)
     return np.sqrt(np.clip(overlap, 0.0, 1.0))
 
 
 def noon_fidelity(tdm: TruncatedDensityMatrix):
-    """F = sqrt(<psi|rho|psi>) against the two-photon NOON state."""
-    if not tdm.post_selected:
-        raise ValueError("NOON fidelity expects a post-selected state")
-    psi = np.zeros(9, dtype=complex)
-    psi[3 * 2 + 0] = 1.0 / math.sqrt(2.0)
-    psi[3 * 0 + 2] = 1.0 / math.sqrt(2.0)
-    return _fidelity_to(tdm, psi)
+    """Fidelity against the two-photon NOON state (|20> + |02>)/sqrt(2)."""
+    return _fidelity_to(tdm, (3 * 2 + 0, 3 * 0 + 2))
 
 
 def maximally_entangled_fidelity(tdm: TruncatedDensityMatrix):
     """Fidelity against (|11> + |20> + |02>)/sqrt(3)."""
-    if not tdm.post_selected:
-        raise ValueError("fidelity expects a post-selected state")
-    psi = np.zeros(9, dtype=complex)
-    psi[3 * 1 + 1] = 1.0 / math.sqrt(3.0)
-    psi[3 * 2 + 0] = 1.0 / math.sqrt(3.0)
-    psi[3 * 0 + 2] = 1.0 / math.sqrt(3.0)
-    return _fidelity_to(tdm, psi)
+    return _fidelity_to(tdm, (3 * 1 + 1, 3 * 2 + 0, 3 * 0 + 2))

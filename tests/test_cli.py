@@ -30,6 +30,8 @@ def test_minimal_config_defaults():
 def test_unknown_key_is_hard_error():
     with pytest.raises(UnknownKey):
         parse_config(MINIMAL + "phii_rad = 0.5\n")
+    with pytest.raises(UnknownKey, match="'phii_rad'"):
+        parse_config(MINIMAL, {"phii_rad": "0.5"})
 
 
 def test_da0_and_target_are_exclusive():
@@ -1130,17 +1132,19 @@ OVERFLOWING = [
     (["spectrum", "--theta-rad", "1", "--omega-d-rad-s", "1e300",
       "--da0-joule", "1e-26"], 1),
     (["entangle", "--theta-steps", "3", "--temperature-mk", "25",
-      "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 1),
+      "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 2),
+    (["entangle", "--theta-steps", "3", "--a0-joule", "1e-160",
+      "--da0-joule", "1e-152"], 2),
+    (["entangle", "--theta-steps", "3", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 2),
     (["oracle-check", "--theta-rad", "1", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 1),
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
 @pytest.mark.parametrize(
     "args, code", OVERFLOWING,
     ids=["calibrate-a0", "calibrate-omega-d", "sweep-calibrated-a0", "sweep-25mk-a0",
          "sweep-0k-a0", "sweep-omega-d", "broadband-v", "time-delay-v", "spectrum-omega-d",
-         "entangle-singular", "oracle-check-eigh"],
+         "entangle-singular", "entangle-0k-a0", "entangle-0k-v", "oracle-check-eigh"],
 )
 def test_overflowing_drive_fails_its_points_or_its_run(args, code, capsys):
     assert main(args) == code  # an uncaught error fails the test
@@ -1156,3 +1160,42 @@ def test_overflowing_drive_fails_its_points_or_its_run(args, code, capsys):
         assert cells[lead:-1] == [""] * (len(cells) - lead - 1), row
         assert cells[-1].startswith("NonFinite: "), row
     assert status == f"# status: partial ({len(rows)} of {len(rows)} points failed)"
+
+
+def test_entangle_fails_its_non_psd_points_alone(capsys):
+    args = ["entangle", "--theta-steps", "50", "--temperature-mk", "25",
+            "--a0-joule", "1e-25", "--da0-joule", "3e-25"]
+    assert main(args) == 2
+    header, *rows, status = capsys.readouterr().out.splitlines()
+    failed = [row for row in rows if not row.endswith(",")]
+    assert len(failed) == 9 and status == "# status: partial (9 of 50 points failed)"
+    for row in failed:
+        assert ",,,,NotNormalized: reduced state has eigenvalue -" in row, row
+    for row in rows:
+        if row not in failed:
+            assert all(math.isfinite(float(c)) for c in row[:-1].split(",")), row
+
+
+def test_ring_of_two_guides_is_a_config_error(capsys):
+    assert main(["sweep", "--topology", "ring", "--n", "2", "--da0-joule", "1e-26"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: ring topology needs n >= 3, got n=2\n"
+
+
+def test_config_file_comments_blank_lines_and_bare_words(tmp_path, capsys):
+    text = "# a comment\n\n   \n" + MINIMAL + "  # indented\n"
+    assert repr(parse_config(text)) == repr(parse_config(MINIMAL))
+    config = tmp_path / "run.cfg"
+    config.write_text("theta_rad\n")
+    assert main(["sweep", "--config", str(config), "--target-occupancy", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: line 1: expected key=value, got 'theta_rad'\n"
+
+
+def test_oracle_check_fails_when_no_register_holds_the_state(capsys):
+    args = ["oracle-check", "--target-occupancy", "0.6", "--theta-rad", "1.3",
+            "--temperature-mk", "40"]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: top Fock level holds 1.12e-05 > 1e-06 after squeezing\n"

@@ -57,3 +57,21 @@ def test_stdout_carries_the_out_file_bytes_and_the_exit_code(args, code, tmp_pat
     assert (run.returncode, to_file.returncode) == (code, code)
     assert to_file.stdout == b""
     assert run.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["calibrate", "--theta-rad", "1", "--target-occupancy", "0.1",
+         "--a0-joule", "1e-160"],
+        ["sweep", "--theta-steps", "3", "--temperature-mk", "0,25",
+         "--a0-joule", "1e-160", "--target-occupancy", "0.1"],
+    ],
+    ids=["calibrate", "sweep"],
+)
+def test_an_overflowing_run_prints_its_error_and_no_numpy_warning(args):
+    # pytest captures warnings in process, so only a real process shows them
+    run = _python(["-m", "dcearray.cli", *args], check=False)
+    assert run.returncode == 1 and run.stdout == b""
+    lines = run.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

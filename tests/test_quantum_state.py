@@ -503,3 +503,51 @@ def test_noon_fidelity_degrades_with_temperature():
         tdm = density_matrix(state, post_select=True)
         fids.append(noon_fidelity(tdm))
     assert fids[0] > fids[1]
+
+
+def test_singular_point_of_a_batch_is_nan_and_leaves_the_others_bit_identical():
+    points = [([0.05, -0.02], 0.01), ([0.12, 0.07], 0.03), ([-0.2, 0.1], 0.05)]
+    regular = _stacked(points)
+    # N = -I and M = 0 give Q = 0: singular, no state
+    number, anomalous = regular.number.copy(), regular.anomalous.copy()
+    number[1], anomalous[1] = -np.eye(2), 0.0
+    singular = GaussianOutputState(number=number, anomalous=anomalous, temperature=0.0)
+    for post_select in (True, False):
+        tdm = density_matrix(singular, post_select=post_select)
+        ref = density_matrix(regular, post_select=post_select).rho
+        vacuum = int(post_select)  # the vacuum row and column stay 0
+        assert np.isnan(tdm.rho[1, vacuum:, vacuum:]).all() and not tdm.errors
+        assert np.array_equal(tdm.rho[[0, 2]], ref[[0, 2]])
+    one = GaussianOutputState(number=-np.eye(2), anomalous=np.zeros((2, 2)),
+                              temperature=0.0)
+    assert np.isnan(density_matrix(one, post_select=False).rho).all()  # no raise
+
+
+def _non_psd_rho():
+    """Unit trace, and the reduced state diag(1.5, -0.5, 0) of guide 1."""
+    rho = np.zeros((9, 9), dtype=complex)
+    rho[3 * 0 + 0, 3 * 0 + 0], rho[3 * 1 + 0, 3 * 1 + 0] = 1.5, -0.5
+    return rho
+
+
+def test_entropy_fails_a_non_psd_point_in_its_own_cell():
+    thetas = np.array([0.6, 1.0, 1.4])
+    good = perturbative_density_matrix(modes_at(math.pi / 4.0, thetas), SPEC2)
+    rho = good.rho.copy()
+    rho[1] = _non_psd_rho()
+    values = von_neumann_entropy(type(good)(rho=rho, post_selected=True))
+    assert isinstance(values[1], NotNormalized)
+    assert "reduced state has eigenvalue -0.5 < 0" in str(values[1])
+    assert [values[0], values[2]] == von_neumann_entropy(good)[[0, 2]].tolist()
+    with pytest.raises(NotNormalized, match="eigenvalue -0.5"):
+        von_neumann_entropy(type(good)(rho=_non_psd_rho(), post_selected=True))
+
+
+def test_entropy_of_a_non_finite_point_is_nan():
+    thetas = np.array([0.6, 1.0])
+    good = perturbative_density_matrix(modes_at(math.pi / 4.0, thetas), SPEC2)
+    rho = good.rho.copy()
+    rho[0, 3 * 1 + 1, 3 * 0 + 1] = np.inf  # <11|rho|01>: off the trace
+    values = von_neumann_entropy(type(good)(rho=rho, post_selected=True))
+    assert values.dtype == float  # no point failed
+    assert np.isnan(values[0]) and values[1] == von_neumann_entropy(good)[1]
