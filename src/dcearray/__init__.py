@@ -12,7 +12,6 @@ from .correlations import (
     cauchy_schwarz_violation,
     g2_thermal,
     g2_zero_temperature,
-    intensities,
     pair_amplitude,
 )
 from .drive import (
@@ -20,6 +19,7 @@ from .drive import (
     LineParams,
     ModeResponse,
     calibrate_da0_over_grid,
+    intensities,
     mode_response,
 )
 from .lattice import (

@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drive import ModeResponse
+from .drive import ModeResponse, intensities
 from .errors import AsymmetricModes, ZeroIntensity, point_errors, with_errors
 from .lattice import LaplacianSpectrum
 from .quantum_state import _mode_moments, _pair_sum, thermal_occupation
 
 __all__ = [
     "CorrelationSet",
-    "intensities",
     "pair_amplitude",
     "g2_zero_temperature",
     "g2_thermal",
@@ -80,11 +79,6 @@ class CorrelationSet:
         """g2 of every guide pair, (..., N, N)."""
         guides = np.arange(self.intensities.shape[-1])
         return self._g2(guides, guides)
-
-
-def intensities(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarray:
-    """Mean photon number per band emitted from each waveguide at T=0."""
-    return modes.eps**2 @ spectrum.modes**2
 
 
 def pair_amplitude(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarray:

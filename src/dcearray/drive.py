@@ -28,6 +28,7 @@ __all__ = [
     "DriveParams",
     "LineParams",
     "ModeResponse",
+    "intensities",
     "mode_response",
     "calibrate_da0_over_grid",
 ]
@@ -98,6 +99,11 @@ class ModeResponse:
         return self.eps.shape[-1]
 
 
+def intensities(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarray:
+    """Mean photon number N_i = sum_n (c_n^i)^2 eps_n^2 of each waveguide at T=0."""
+    return modes.eps**2 @ spectrum.modes**2
+
+
 def mode_response(
     drive: DriveParams, line: LineParams, spectrum: LaplacianSpectrum
 ) -> ModeResponse:
@@ -150,8 +156,8 @@ def calibrate_da0_over_grid(
         raise ValueError("need a positive da0 seed")
     a0, da0, phi, omega_d = drive.a0, drive.da0, drive.phi, drive.omega_d
     grid = DriveParams(a0=a0, da0=da0, phi=phi, theta=thetas, omega_d=omega_d)
-    eps = mode_response(grid, line, spectrum).eps
-    peak = float(np.max(eps**2 @ spectrum.modes**2))  # max over theta and guide
+    modes = mode_response(grid, line, spectrum)
+    peak = float(np.max(intensities(modes, spectrum)))  # max over theta and guide
     if peak == 0.0:
         raise NoResponse("no grid point produces a nonzero response")
     da0 *= math.sqrt(target_max_occupancy / peak)

@@ -121,8 +121,6 @@ class OracleState:
 
 def _thermal_weights(local_dim: int, n_thermal: float, deficit_tol: float):
     levels = np.arange(local_dim)
-    if n_thermal == 0.0:
-        return (levels == 0).astype(float)
     ratio = n_thermal / (1.0 + n_thermal)
     weights = ratio**levels / (1.0 + n_thermal)
     deficit = ratio ** local_dim

@@ -41,6 +41,7 @@ import numpy as np
 from .constants import HBAR, K_B
 from .drive import ModeResponse
 from .errors import (
+    NonFinite,
     NotNormalized,
     NotNormalOrdered,
     ZeroIntensity,
@@ -268,6 +269,7 @@ def _qutrit_schedule() -> tuple:
     return roots, degrees
 
 
+@np.errstate(all="ignore")
 def _fock_block(state: GaussianOutputState) -> np.ndarray:
     """Exact Fock elements <n m| rho |n' m'> of a two-guide Gaussian state.
 
@@ -285,6 +287,7 @@ def _fock_block(state: GaussianOutputState) -> np.ndarray:
     signs.  The block is not renormalized.  A point whose det(Q) is not finite
     and positive is no state: its block is nan, and I takes its Q's place in
     the inverse, which LAPACK takes matrix by matrix, so no other point moves.
+    Such a point, or one that overflows, warns nothing: its block is not finite.
     """
     roots, degrees = _qutrit_schedule()
     number, anomalous = state.number, state.anomalous
@@ -317,7 +320,9 @@ def density_matrix(
     unit trace.  ``max_degree`` and ``remainder_tol`` are accepted for
     compatibility and ignored: nothing is truncated but the qutrit block.
     A batch of states (moments of shape (K, 2, 2)) runs one recursion, and
-    warns once, at its largest mean photon number.
+    warns once, at its largest mean photon number.  A point whose block is
+    not finite fails with NonFinite, and one with no weight in it with
+    ZeroIntensity; a failed point's rho is zero.
 
     ``post_select=True`` removes only the vacuum |00> and renormalizes the
     remaining eight levels, so the one-photon and three- and four-photon
@@ -338,17 +343,19 @@ def density_matrix(
         )
 
     rho = _fock_block(state)
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    rho = np.where(finite[..., None, None], rho, 0.0)
     rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
     if post_select:
         rho[..., 0, :] = 0.0
         rho[..., :, 0] = 0.0
     norm = np.trace(rho, 0, -2, -1).real
-    message = (
-        "no photons emitted; nothing to post-select"
-        if post_select
-        else "state has no weight in the qutrit block"
-    )
-    errors = point_errors(norm <= 0.0, lambda k: ZeroIntensity(message))
+    empty = ("no photons emitted; nothing to post-select" if post_select
+             else "state has no weight in the qutrit block")
+    errors = point_errors(norm <= 0.0, lambda k: (
+        ZeroIntensity(empty) if finite[k]
+        else NonFinite("qutrit block is not finite: det Q is not finite and positive "
+                       "or an element overflows")))
     rho = rho / np.where(norm > 0.0, norm, 1.0)[..., None, None]
     return TruncatedDensityMatrix(rho=rho, post_selected=post_select, errors=errors)
 
@@ -367,10 +374,12 @@ def perturbative_pure_state(modes: ModeResponse, spectrum: LaplacianSpectrum):
     return beta, amps
 
 
+@np.errstate(all="ignore")  # a drive beyond double precision fails its point
 def _pure_state(modes: ModeResponse, spectrum: LaplacianSpectrum) -> tuple:
     """perturbative_pure_state and its per-point errors.
 
-    The amplitudes of a failed point are 0.
+    A point whose pair norm is 0 fails with ZeroIntensity, and one whose norm
+    is not finite with NonFinite.  The amplitudes of a failed point are 0.
     """
     beta = 0.5j * _pair_sum(modes.eps, spectrum.modes)
     n = beta.shape[-1]
@@ -380,12 +389,12 @@ def _pure_state(modes: ModeResponse, spectrum: LaplacianSpectrum) -> tuple:
         for j in range(i + 1, n):
             amps[(i, j)] = 2.0 * beta[..., i, j]
     norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    errors = point_errors(
-        norm == 0.0,
-        lambda k: ZeroIntensity("no pair amplitude; nothing to post-select"),
-    )
-    norm = np.where(norm > 0.0, norm, 1.0)
-    return beta, {k: a / norm for k, a in amps.items()}, errors
+    ok = (norm > 0.0) & np.isfinite(norm)
+    errors = point_errors(~ok, lambda k: (
+        ZeroIntensity("no pair amplitude; nothing to post-select") if norm[k] == 0.0
+        else NonFinite(f"pair norm is {norm[k]}; the drive is beyond double precision")))
+    norm = np.where(ok, norm, 1.0)
+    return beta, {k: np.where(ok, a, 0.0) / norm for k, a in amps.items()}, errors
 
 
 def perturbative_density_matrix(

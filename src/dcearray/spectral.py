@@ -8,10 +8,10 @@ from which follow the photon flux spectral density, the broadband
 intensity G1_i, and the time-delayed pair correlator G2_ij(tau) built
 from I_n(tau) = int_0^{w_d} sqrt(w (w_d - w)) S_n e^{i w tau} dw.  Every
 frequency integral has an elementary closed form, and deltaL_n / v =
-2 eps_n / w_d makes each broadband quantity a band-centre pair sum of
-:mod:`dcearray.correlations` times a frequency factor.  Adaptive quadrature
-(:func:`pair_integral_quadrature`) is the tests' reference for the closed
-forms, not a run-time check.
+2 eps_n / w_d makes each broadband quantity, the flux density included, a
+band-centre pair sum of :mod:`dcearray.correlations` times a frequency
+factor.  Adaptive quadrature (:func:`pair_integral_quadrature`) is the
+tests' reference for the closed forms, not a run-time check.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .constants import HBAR
-from .correlations import CorrelationSet, intensities
-from .drive import LineParams, ModeResponse
+from .correlations import CorrelationSet
+from .drive import LineParams, ModeResponse, intensities
 from .errors import with_errors
 from .lattice import LaplacianSpectrum
 from .quantum_state import _pair_sum, thermal_occupation
@@ -56,7 +56,7 @@ def scattering_amplitude(
     """Pair-scattering amplitude S_n(w', w'') of normal mode n."""
     if omega1 <= 0.0 or omega2 <= 0.0:
         return 0.0j
-    return -1j * modes.delta_l[n] / modes.v * math.sqrt(omega1 * omega2)
+    return -1j * modes.delta_l[..., n] / modes.v * math.sqrt(omega1 * omega2)
 
 
 def photon_flux_density(
@@ -68,20 +68,19 @@ def photon_flux_density(
 ):
     """Photon flux spectral density of the output field of waveguide i.
 
-    T=0: n_i(w) = sum_n (c_n^i)^2 |S_n(w, w_d - w)|^2
-    = w (w_d - w) sum_n (c_n^i)^2 (deltaL_n / v)^2.  At finite temperature
-    the reflected thermal background N_T(w) adds, and the parametric term
-    is stimulated by (1 + N_T(w_d - w)).  ``omega`` is a float, or an array
-    that gives the density at every frequency in it.
+    n_i(w) = N_T(w) + S_i(w) (1 + N_T(w) + N_T(w_d - w)), the exact moment of
+    the pair w, w_d - w squeezed out of a thermal input, with pair weight
+    S_i(w) = sum_n (c_n^i)^2 |S_n(w, w_d - w)|^2 = (2 / w_d)^2 N_i w (w_d - w)
+    inside the band (0, w_d) and 0 outside it.  At w_d / 2 it is g2_thermal's
+    N_T + N_i (1 + 2 N_T).  ``omega`` is a float, or an array of frequencies.
     """
     omega = np.asarray(omega, dtype=float)
-    weight = float(spectrum.modes[:, i] ** 2 @ (modes.delta_l / modes.v) ** 2)
+    weight = (2.0 / modes.omega_d) ** 2 * float(intensities(modes, spectrum)[..., i])
     inside = (0.0 < omega) & (omega < modes.omega_d)
-    flux = np.where(inside, weight * omega * (modes.omega_d - omega), 0.0)
-    if temperature != 0.0:
-        background = thermal_occupation(omega, temperature)
-        stimulated = 1.0 + thermal_occupation(modes.omega_d - omega, temperature)
-        flux = background + flux * stimulated
+    pairs = np.where(inside, weight * omega * (modes.omega_d - omega), 0.0)
+    background = thermal_occupation(omega, temperature)
+    partner = thermal_occupation(modes.omega_d - omega, temperature)
+    flux = background + pairs * (1.0 + background + partner)
     return flux if flux.ndim else float(flux)
 
 
@@ -120,7 +119,7 @@ def _poly_kernel_closed(tau, w_d: float):
 
 def pair_integral(n: int, tau: float, modes: ModeResponse) -> complex:
     """I_n(tau) = -i (deltaL_n / v) * int_0^{w_d} w (w_d - w) e^{i w tau} dw."""
-    return -1j * modes.delta_l[n] / modes.v * _poly_kernel_closed(tau, modes.omega_d)
+    return -1j * modes.delta_l[..., n] / modes.v * _poly_kernel_closed(tau, modes.omega_d)
 
 
 def _poly_kernel_quadrature(tau: float, w_d: float) -> complex:
@@ -142,7 +141,7 @@ def _poly_kernel_quadrature(tau: float, w_d: float) -> complex:
 def pair_integral_quadrature(n: int, tau: float, modes: ModeResponse) -> complex:
     """Adaptive-quadrature evaluation of I_n(tau); the tests' reference."""
     j_tau = _poly_kernel_quadrature(tau, modes.omega_d)
-    return -1j * modes.delta_l[n] / modes.v * j_tau
+    return -1j * modes.delta_l[..., n] / modes.v * j_tau
 
 
 def g2_broadband(

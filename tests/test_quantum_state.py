@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ from dcearray.drive import (
     calibrate_da0_over_grid,
     mode_response,
 )
-from dcearray.errors import NotNormalized, NotNormalOrdered
+from dcearray.errors import NonFinite, NotNormalized, NotNormalOrdered
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.quantum_state import (
     GaussianOutputState,
@@ -515,12 +516,30 @@ def test_singular_point_of_a_batch_is_nan_and_leaves_the_others_bit_identical():
     for post_select in (True, False):
         tdm = density_matrix(singular, post_select=post_select)
         ref = density_matrix(regular, post_select=post_select).rho
-        vacuum = int(post_select)  # the vacuum row and column stay 0
-        assert np.isnan(tdm.rho[1, vacuum:, vacuum:]).all() and not tdm.errors
-        assert np.array_equal(tdm.rho[[0, 2]], ref[[0, 2]])
+        assert list(tdm.errors) == [1] and isinstance(tdm.errors[1], NonFinite)
+        assert not tdm.rho[1].any()  # a failed point's rho is zero
+        assert tdm.rho[[0, 2]].tobytes() == ref[[0, 2]].tobytes()
     one = GaussianOutputState(number=-np.eye(2), anomalous=np.zeros((2, 2)),
                               temperature=0.0)
-    assert np.isnan(density_matrix(one, post_select=False).rho).all()  # no raise
+    with pytest.raises(NonFinite, match="qutrit block is not finite"):
+        density_matrix(one, post_select=False)
+
+
+def test_non_finite_pair_norm_fails_its_point_with_zero_amplitudes():
+    regular = modes_at(math.pi / 4.0, np.array([0.6, 1.0, 1.4]))
+    eps = regular.eps.copy()
+    eps[1] *= 1e200  # |beta|^2 overflows: the pair norm is inf
+    huge = dataclasses.replace(regular, eps=eps)
+    tdm = perturbative_density_matrix(huge, SPEC2)
+    ref = perturbative_density_matrix(regular, SPEC2).rho
+    assert list(tdm.errors) == [1] and isinstance(tdm.errors[1], NonFinite)
+    assert not tdm.rho[1].any()  # a failed point's amplitudes are 0
+    assert tdm.rho[[0, 2]].tobytes() == ref[[0, 2]].tobytes()
+    _, amps = perturbative_pure_state(huge, SPEC2)
+    assert all(a[1] == 0.0 for a in amps.values())
+    one = dataclasses.replace(regular, eps=eps[1])
+    with pytest.raises(NonFinite, match="pair norm is inf"):
+        perturbative_density_matrix(one, SPEC2)
 
 
 def _non_psd_rho():

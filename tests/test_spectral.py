@@ -9,8 +9,13 @@ import pytest
 from scipy.integrate import quad
 
 from dcearray.constants import HBAR
-from dcearray.correlations import g2_zero_temperature
-from dcearray.drive import DriveParams, LineParams, mode_response
+from dcearray.correlations import g2_thermal, g2_zero_temperature
+from dcearray.drive import (
+    DriveParams,
+    LineParams,
+    calibrate_da0_over_grid,
+    mode_response,
+)
 from dcearray.errors import ZeroIntensity
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.spectral import (
@@ -270,3 +275,60 @@ def test_omega_grid_excludes_endpoints():
     assert grid[0] > 0.0
     assert grid[-1] < OMEGA_D
     assert np.allclose(np.diff(grid), OMEGA_D / 2049.0, rtol=1e-9, atol=0.0)
+
+
+def _calibrated(spectrum, theta):
+    """The drive at theta whose largest band-centre photon number is 0.1."""
+    seed = DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=theta,
+                       omega_d=OMEGA_D)
+    drive = calibrate_da0_over_grid(seed, LINE, spectrum, np.atleast_1d(theta), 0.1)
+    return mode_response(drive, LINE, spectrum)
+
+
+CALIBRATED = [
+    (SPEC2, 0.9),
+    (eigendecompose(build_laplacian(ArrayTopology.ring(16))), 1.3),
+]
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.025, 0.04, 0.1])
+@pytest.mark.parametrize("spectrum, theta", CALIBRATED, ids=["chain-2", "ring-16"])
+def test_flux_at_band_centre_is_the_thermal_photon_number(spectrum, theta, temperature):
+    # one photon-number law: the flux at w_d / 2 is sweep's n_i at every temperature
+    modes = _calibrated(spectrum, theta)
+    numbers = g2_thermal(modes, spectrum, temperature).intensities
+    for i in range(spectrum.n):
+        flux = photon_flux_density(i, OMEGA_D / 2.0, modes, spectrum, temperature)
+        assert flux == pytest.approx(numbers[i], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("temperature", [0.025, 0.1])
+def test_parametric_flux_is_symmetric_under_pair_exchange(temperature):
+    # the two photons of a pair leave together: flux - N_T is even about w_d / 2
+    from dcearray.quantum_state import thermal_occupation
+
+    modes = _calibrated(SPEC2, 0.9)
+    w = np.array([0.05, 0.1, 0.25, 0.4, 0.49]) * OMEGA_D
+    parametric = [photon_flux_density(0, x, modes, SPEC2, temperature)
+                  - thermal_occupation(x, temperature) for x in (w, OMEGA_D - w)]
+    np.testing.assert_allclose(parametric[0], parametric[1], rtol=1e-12, atol=0.0)
+
+
+def test_per_mode_functions_of_a_batch_equal_their_one_point_values():
+    spectrum = eigendecompose(build_laplacian(ArrayTopology.ring(5)))
+    thetas = np.array([0.4, 0.9, 1.7])
+
+    def response(theta):
+        d = DriveParams(a0=1e-23, da0=1e-25, phi=math.pi / 4.0, theta=theta,
+                        omega_d=OMEGA_D)
+        return mode_response(d, LINE, spectrum)
+
+    batch, points = response(thetas), [response(float(t)) for t in thetas]
+    w1, w2 = 0.3 * OMEGA_D, 0.7 * OMEGA_D
+    for n in range(spectrum.n):
+        assert pair_integral(n, 1e-11, batch).tolist() == [
+            pair_integral(n, 1e-11, p) for p in points]
+        assert scattering_amplitude(n, w1, w2, batch).tolist() == [
+            scattering_amplitude(n, w1, w2, p) for p in points]
+    assert pair_integral_quadrature(3, 1e-11, batch).tolist() == [
+        pair_integral_quadrature(3, 1e-11, p) for p in points]
