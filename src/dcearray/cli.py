@@ -306,21 +306,21 @@ def _fmt(value) -> str:
 
 
 def _prepare(config: RunConfig, theta) -> tuple:
-    """The preamble of every subcommand: (spectrum, drive at ``theta``), once.
+    """The preamble of every subcommand: (spectrum, drive, modes) at ``theta``, once.
 
-    ``theta`` is the angle or the angle array the command reads; da0 is
-    taken as given or calibrated over the theta grid.
+    ``theta`` is the angle or the angle array the command reads, the whole
+    grid by the parse-time rules; da0 is taken as given or calibrated over it.
     """
     spectrum = eigendecompose(build_laplacian(config.topology))
     seed = config.da0 if config.da0 is not None else config.a0 * 1e-3
     drive = DriveParams(
         a0=config.a0, da0=seed, phi=config.phi, theta=theta, omega_d=config.omega_d
     )
-    if config.target_occupancy is not None:
-        drive = calibrate_da0_over_grid(
-            drive, config.line, spectrum, config.thetas, config.target_occupancy
-        )
-    return spectrum, drive
+    if config.target_occupancy is None:
+        return spectrum, drive, mode_response(drive, config.line, spectrum)
+    return spectrum, *calibrate_da0_over_grid(
+        drive, config.line, spectrum, config.target_occupancy
+    )
 
 
 def _finite(values, what: str):
@@ -331,10 +331,11 @@ def _finite(values, what: str):
 
 
 def _table(header: str, *columns) -> list:
-    """CSV lines of a float table: header, one row per index, status line."""
-    _finite(columns, f"a value of {header}")
+    """CSV lines of a float table: header, rows by one ``%`` per table, status line."""
+    cells = _finite(np.column_stack(columns), f"a value of {header}")
     row = ",".join(["%.17g"] * len(columns))  # as _fmt
-    return ["# " + header, *(row % cells for cells in zip(*columns)), "# status: ok"]
+    body = "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+    return ["# " + header, *body.split("\n"), "# status: ok"]
 
 
 def _point_values(specs, modes, spectrum, temperature):
@@ -393,14 +394,14 @@ def _tabulate(lead_columns, value_columns, thetas, batches) -> tuple:
     return lines, failures
 
 
-def _sweep(config: RunConfig, spectrum, drive) -> tuple:
+def _sweep(config: RunConfig) -> tuple:
     """run_sweep's lines and failures, and the qutrit state of the first point.
 
     The grid runs one batch over the theta array per temperature; the state
     is None when the first point failed or no token reads it.
     """
+    spectrum, _, modes = _prepare(config, config.thetas)
     specs = [_observable(token) for token in config.observables]
-    modes = mode_response(drive, config.line, spectrum)
     batches = []
     first = None
     for temp in config.temperatures:
@@ -421,31 +422,24 @@ def run_sweep(config: RunConfig) -> tuple:
     failed points leave their cells empty and carry the error message in the
     trailing error column.
     """
-    lines, failures, _ = _sweep(config, *_prepare(config, config.thetas))
+    lines, failures, _ = _sweep(config)
     return lines, failures
 
 
 def _run_spectrum(config: RunConfig) -> tuple:
     """Photon flux spectral density of waveguide 1 over (0, omega_d)."""
-    spectrum, drive = _prepare(config, config.thetas[0])
-    modes = mode_response(drive, config.line, spectrum)
+    spectrum, _, modes = _prepare(config, config.thetas[0])
     omegas = omega_grid(config.omega_d)
-    cells = [None] * (2 * len(omegas))
-    cells[::2] = [_fmt(w) for w in omegas.tolist()]
-    lines = ["# omega_rad_s,temperature_mk,flux_1"]
-    for temp in config.temperatures:
-        flux = photon_flux_density(0, omegas, modes, spectrum, temp)
-        cells[1::2] = _finite(flux, "a value of flux_1").tolist()
-        row = "%s," + _fmt(temp * 1e3) + ",%.17g"  # as _fmt; one % per temperature
-        lines.extend(("\n".join([row] * len(omegas)) % tuple(cells)).split("\n"))
-    lines.append("# status: ok")
-    return lines, 0
+    temps = config.temperatures
+    flux = [photon_flux_density(0, omegas, modes, spectrum, temp) for temp in temps]
+    temps_mk = np.repeat(np.array(temps) * 1e3, len(omegas))
+    header = "omega_rad_s,temperature_mk,flux_1"
+    return _table(header, np.tile(omegas, len(temps)), temps_mk, np.concatenate(flux)), 0
 
 
 def _run_time_delay(config: RunConfig) -> tuple:
     """Broadband G2_11 and G2_12 against the dimensionless delay omega_d*tau."""
-    spectrum, drive = _prepare(config, config.thetas[0])
-    modes = mode_response(drive, config.line, spectrum)
+    spectrum, _, modes = _prepare(config, config.thetas[0])
     tau = TAU_GRID / config.omega_d
     g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line)
     g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line)
@@ -455,8 +449,7 @@ def _run_time_delay(config: RunConfig) -> tuple:
 
 def _run_broadband(config: RunConfig) -> tuple:
     """Normalized zero-delay broadband correlations, one batch over the theta grid."""
-    spectrum, drive = _prepare(config, config.thetas)
-    modes = mode_response(drive, config.line, spectrum)
+    spectrum, _, modes = _prepare(config, config.thetas)
     specs = [(_correlations, g2_broadband_normalized, (0, j)) for j in (0, 1)]
     columns, failed, _ = _point_values(specs, modes, spectrum, 0.0)
     batch = ("", columns, failed)
@@ -468,7 +461,7 @@ def _run_entangle(config: RunConfig) -> tuple:
 
     The dump reuses the state of the first row; a failed point has none.
     """
-    lines, failures, rho = _sweep(config, *_prepare(config, config.thetas))
+    lines, failures, rho = _sweep(config)
     if config.single_theta and rho is not None:
         lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
         lines.extend(",".join(map(_fmt, row)) for row in rho.view(float).tolist())
@@ -477,7 +470,7 @@ def _run_entangle(config: RunConfig) -> tuple:
 
 def _run_calibrate(config: RunConfig) -> tuple:
     """Report the da0 that meets the target occupancy over the theta grid."""
-    _, drive = _prepare(config, config.thetas)
+    _, drive, _ = _prepare(config, config.thetas)
     header = "da0_joule,target_occupancy"
     return _table(header, [drive.da0], [config.target_occupancy]), 0
 
@@ -489,8 +482,7 @@ _ORACLE_CUTOFFS = (16, 20, 24, 28, 32)
 
 def _run_oracle_check(config: RunConfig) -> tuple:
     """Compare Wick-path moments and rho against the per-mode Fock oracle."""
-    spectrum, drive = _prepare(config, config.thetas[0])
-    modes = mode_response(drive, config.line, spectrum)
+    spectrum, _, modes = _prepare(config, config.thetas[0])
     _finite(modes.eps, "a mode amplitude")  # the oracle's squeeze needs finite ones
     temp = config.temperatures[0]
     state = output_gaussian(modes, spectrum, temp)

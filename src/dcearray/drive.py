@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,31 +136,31 @@ def calibrate_da0_over_grid(
     drive: DriveParams,
     line: LineParams,
     spectrum: LaplacianSpectrum,
-    thetas: np.ndarray,
     target_max_occupancy: float,
-) -> DriveParams:
-    """Rescale da0 so the largest intensity over a theta grid meets the target.
+) -> tuple:
+    """The drive whose largest intensity over its theta grid meets the target.
 
     Mirrors the figure convention of choosing amplitudes once per sweep so
-    that max_i <a_i^dag a_i> never exceeds the target at T=0.  ``thetas``
-    may also be a single angle, which calibrates that one point.
-    Intensities scale exactly as da0^2, so one evaluation of the whole grid
-    fixes the scale.  Lambda0 does not depend on theta, so a working point
-    with a non-positive mode energy fails at every grid point and raises
-    NonPositiveModeEnergy.  A peak that overflows, or one so small that da0
-    overflows, raises NonFinite.
+    that max_i <a_i^dag a_i> never exceeds the target at T=0.  The grid is
+    ``drive.theta``, one angle or an array of them as in mode_response, at
+    the seed da0.  The response is linear in da0, so one evaluation fixes the
+    scale and, scaled, is the returned ``(drive, modes)``'s response.
+    Lambda0 does not depend on theta, so a working point with a non-positive
+    mode energy fails at every grid point and raises NonPositiveModeEnergy.
+    A peak that overflows, or one so small that da0 overflows, raises NonFinite.
     """
     if not 0.0 < target_max_occupancy < 1.0:
         raise ValueError("target occupancy must lie in (0, 1)")
     if drive.da0 <= 0:
         raise ValueError("need a positive da0 seed")
-    a0, da0, phi, omega_d = drive.a0, drive.da0, drive.phi, drive.omega_d
-    grid = DriveParams(a0=a0, da0=da0, phi=phi, theta=thetas, omega_d=omega_d)
-    modes = mode_response(grid, line, spectrum)
+    modes = mode_response(drive, line, spectrum)
     peak = float(np.max(intensities(modes, spectrum)))  # max over theta and guide
     if peak == 0.0:
         raise NoResponse("no grid point produces a nonzero response")
-    da0 *= math.sqrt(target_max_occupancy / peak)
+    scale = math.sqrt(target_max_occupancy / peak)
+    a0, da0, phi, omega_d = drive.a0, drive.da0 * scale, drive.phi, drive.omega_d
     if not 0.0 < da0 < math.inf:
         raise NonFinite(f"peak occupancy {peak:.3g} over the grid gives da0 = {da0:.3g}")
-    return DriveParams(a0=a0, da0=da0, phi=phi, theta=drive.theta, omega_d=omega_d)
+    scaled = {k: getattr(modes, k) * scale for k in ("dlambda", "delta_l", "eps")}
+    return (DriveParams(a0=a0, da0=da0, phi=phi, theta=drive.theta, omega_d=omega_d),
+            replace(modes, **scaled))

@@ -422,7 +422,8 @@ def von_neumann_entropy(tdm: TruncatedDensityMatrix, traced_subsystem: int = 1):
     Eigenvalues are clipped at zero with tolerance 1e-12 and 0*log(0) := 0;
     the maximally entangled two-qutrit state gives exactly 1.  A point whose
     trace is not 1 or whose reduced state has an eigenvalue below -1e-12 fails
-    with NotNormalized, and one whose reduced state is not finite reads nan.
+    with NotNormalized, and one whose reduced state is not finite reads nan;
+    a point that failed in ``tdm`` keeps the state's own error.
     """
     if traced_subsystem not in (0, 1):
         raise ValueError("traced_subsystem must be 0 or 1")
@@ -442,17 +443,20 @@ def von_neumann_entropy(tdm: TruncatedDensityMatrix, traced_subsystem: int = 1):
         else f"reduced state has eigenvalue {eigs[k].min():.3g} < 0"))
     eigs = np.clip(eigs, 0.0, None)
     logs = np.log(np.where(eigs > 0.0, eigs, 1.0)) / math.log(3)
-    return with_errors(-np.sum(eigs * logs, axis=-1), errors)
+    return with_errors(-np.sum(eigs * logs, axis=-1), {**errors, **tdm.errors})
 
 
 def _fidelity_to(tdm: TruncatedDensityMatrix, levels: tuple):
-    """sqrt(<psi|rho|psi>), psi the equal superposition of rho indices ``levels``."""
+    """sqrt(<psi|rho|psi>), psi the equal superposition of rho indices ``levels``.
+
+    A point that failed in ``tdm`` keeps the state's own error.
+    """
     if not tdm.post_selected:
         raise ValueError("fidelity expects a post-selected state")
     psi = np.zeros(9, dtype=complex)
     psi[list(levels)] = 1.0 / math.sqrt(len(levels))
     overlap = np.real(psi.conj() @ tdm.rho @ psi)
-    return np.sqrt(np.clip(overlap, 0.0, 1.0))
+    return with_errors(np.sqrt(np.clip(overlap, 0.0, 1.0)), tdm.errors)
 
 
 def noon_fidelity(tdm: TruncatedDensityMatrix):

@@ -72,10 +72,12 @@ def photon_flux_density(
     the pair w, w_d - w squeezed out of a thermal input, with pair weight
     S_i(w) = sum_n (c_n^i)^2 |S_n(w, w_d - w)|^2 = (2 / w_d)^2 N_i w (w_d - w)
     inside the band (0, w_d) and 0 outside it.  At w_d / 2 it is g2_thermal's
-    N_T + N_i (1 + 2 N_T).  ``omega`` is a float, or an array of frequencies.
+    N_T + N_i (1 + 2 N_T).  ``omega`` is a float, or an array of frequencies;
+    a batch of K drives gives shape (K,) + omega's shape.
     """
     omega = np.asarray(omega, dtype=float)
-    weight = (2.0 / modes.omega_d) ** 2 * float(intensities(modes, spectrum)[..., i])
+    n_i = intensities(modes, spectrum)[..., i]
+    weight = (2.0 / modes.omega_d) ** 2 * n_i.reshape(n_i.shape + (1,) * omega.ndim)
     inside = (0.0 < omega) & (omega < modes.omega_d)
     pairs = np.where(inside, weight * omega * (modes.omega_d - omega), 0.0)
     background = thermal_occupation(omega, temperature)

@@ -4,6 +4,7 @@ Each test prints a single "criterion k: PASS/FAIL" line with the measured
 numbers; failing tests also carry the line in the assertion message.
 """
 
+import dataclasses
 import math
 import time
 
@@ -92,12 +93,12 @@ def two_guide_closed_forms(modes):
 
 
 def calibrated_noon_modes():
-    seed = DriveParams(
-        a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=THETA_NOON, omega_d=OMEGA_D
-    )
     grid = np.linspace(0.0, math.pi, 1000)
-    cal = calibrate_da0_over_grid(seed, LINE, SPEC2, grid, 0.1)
-    return mode_response(cal, LINE, SPEC2)
+    seed = DriveParams(
+        a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=grid, omega_d=OMEGA_D
+    )
+    cal, _ = calibrate_da0_over_grid(seed, LINE, SPEC2, 0.1)
+    return mode_response(dataclasses.replace(cal, theta=THETA_NOON), LINE, SPEC2)
 
 
 def test_criterion_1_two_guide_closed_forms():

@@ -478,9 +478,10 @@ def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
 
 
 def test_entangle_point_evaluates_its_state_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, "density_matrix", "mode_response")
+    calls = _count_calls(monkeypatch, "density_matrix")
+    drive_calls = _count_mode_response(monkeypatch)
     assert main(ENTANGLE_POINT + ["--out", str(tmp_path / "ent.csv")]) == 0
-    assert calls == {"density_matrix": 1, "mode_response": 1}
+    assert calls == {"density_matrix": 1} and len(drive_calls) == 1
 
 
 def test_non_positive_mode_energy_is_reported_by_calibration(capsys):
@@ -585,14 +586,15 @@ def test_keys_a_command_reads_still_run(args, header, tmp_path):
 
 def test_sweep_evaluates_each_temperature_once(monkeypatch):
     # one drive evaluation for the grid, one qutrit batch per T > 0
-    calls = _count_calls(monkeypatch, "mode_response", "density_matrix")
+    calls = _count_calls(monkeypatch, "density_matrix")
+    drive_calls = _count_mode_response(monkeypatch)
     cfg = parse_config(
         MINIMAL + "theta_steps = 1000\ntemperature_mk = 0,25,40\n"
         "observables = entropy,f_noon\n"
     )
     _, failures = run_sweep(cfg)
     assert failures == 0
-    assert calls == {"mode_response": 1, "density_matrix": 2}
+    assert calls == {"density_matrix": 2} and len(drive_calls) == 1
 
 
 def test_broadband_builds_one_correlation_set(tmp_path, monkeypatch):
@@ -605,12 +607,35 @@ def test_broadband_builds_one_correlation_set(tmp_path, monkeypatch):
 
 
 def test_broadband_evaluates_the_grid_once(tmp_path, monkeypatch):
-    # one drive evaluation for the calibration, one for the grid
+    # the calibration's one drive evaluation serves the grid
     calls = _count_mode_response(monkeypatch)
     args = ["broadband", "--target-occupancy", "0.1", "--theta-steps", "50",
             "--out", str(tmp_path / "bb.csv")]
     assert main(args) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+ONE_DRIVE_RUNS = {
+    "sweep": ["--theta-steps", "5"],
+    "spectrum": ["--theta-rad", "0.9"],
+    "time-delay": ["--theta-rad", "0.9"],
+    "broadband": ["--theta-steps", "5"],
+    "entangle": ["--theta-rad", "0.9", "--temperature-mk", "25"],
+    "calibrate": ["--theta-steps", "5"],
+    "oracle-check": ["--theta-rad", "0.9"],
+}
+AMPLITUDES = {"calibrated": ["--target-occupancy", "0.1"], "given": ["--da0-joule", "1e-26"]}
+
+
+@pytest.mark.parametrize(
+    "command, amplitude",
+    [(command, amplitude) for command in ONE_DRIVE_RUNS for amplitude in AMPLITUDES
+     if command != "calibrate" or amplitude == "calibrated"],
+)
+def test_every_run_evaluates_the_drive_once(command, amplitude, monkeypatch):
+    calls = _count_mode_response(monkeypatch)
+    assert main([command, *ONE_DRIVE_RUNS[command], *AMPLITUDES[amplitude]]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -693,7 +718,7 @@ def test_batched_grid_matches_point_evaluation(config, failed):
     from dcearray.drive import mode_response
 
     cfg = parse_config(config)
-    spectrum, drive = _prepare(cfg, cfg.thetas)
+    spectrum, drive, _ = _prepare(cfg, cfg.thetas)
     lines, failures = run_sweep(cfg)
     assert failures == failed
     rows = [line.split(",") for line in lines[1:-1]]
@@ -723,14 +748,10 @@ def _cell_by_cell_lines(cfg):
     Each token's batch column carries its state's errors in their cells
     (``with_errors``); a row fails on its first error cell in token order.
     """
-    from dataclasses import replace
-
     from dcearray.cli import _observable, _prepare
-    from dcearray.drive import mode_response
     from dcearray.errors import DceArrayError, with_errors
 
-    spectrum, drive = _prepare(cfg, cfg.thetas)
-    modes = mode_response(replace(drive, theta=cfg.thetas), cfg.line, spectrum)
+    spectrum, _, modes = _prepare(cfg, cfg.thetas)
     header = ["theta", "phi", "temperature_mk", *cfg.observables, "error"]
     lines = ["# " + ",".join(header)]
     failures = 0
@@ -791,17 +812,14 @@ def _calibrated_point(topology, theta, target):
 
     ``theta`` is one angle, or an array of them that the drive runs as a batch.
     """
-    from dcearray.drive import (
-        DriveParams, LineParams, calibrate_da0_over_grid, mode_response,
-    )
+    from dcearray.drive import DriveParams, LineParams, calibrate_da0_over_grid
     from dcearray.lattice import build_laplacian, eigendecompose
 
     spectrum = eigendecompose(build_laplacian(topology))
     line = LineParams(z0=55.0, v=1.2e8)
     seed = DriveParams(a0=1e-23, da0=1e-23 * 1e-3, phi=math.pi / 4.0, theta=theta,
                        omega_d=2.0 * math.pi * 10.3e9)
-    drive = calibrate_da0_over_grid(seed, line, spectrum, np.atleast_1d(theta), target)
-    return spectrum, line, drive, mode_response(drive, line, spectrum)
+    return spectrum, line, *calibrate_da0_over_grid(seed, line, spectrum, target)
 
 
 def _spectrum_lines(theta, temps_mk):

@@ -43,7 +43,7 @@ def test_perturbative_warning_names_the_caller():
         warnings.simplefilter("always")
         DriveParams(a0=1e-23, da0=2e-24, phi=0.5, theta=0.5, omega_d=OMEGA_D)
         seed = drive(math.pi / 4.0, 0.9)
-        calibrated = calibrate_da0_over_grid(seed, LINE, spec, 0.9, 0.9)
+        calibrated, _ = calibrate_da0_over_grid(seed, LINE, spec, 0.9)
     assert calibrated.da0 / calibrated.a0 > 0.1
     files = [os.path.basename(r.filename) for r in records]
     assert files == ["test_drive.py", "drive.py"]
@@ -137,14 +137,14 @@ def test_calibration_halves_da0_for_quarter_target():
     weights = spec.modes**2
     resp = mode_response(d, LINE, spec)
     peak = float(np.max(weights.T @ resp.eps**2))
-    cal = calibrate_da0_over_grid(d, LINE, spec, [d.theta], peak / 4.0)
+    cal, _ = calibrate_da0_over_grid(d, LINE, spec, peak / 4.0)
     assert cal.da0 == pytest.approx(d.da0 / 2.0, rel=1e-12)
 
 
 def test_calibration_reaches_fixed_point():
     spec = two_guide_spectrum()
     d = drive(math.pi / 4.0, 0.7)
-    cal = calibrate_da0_over_grid(d, LINE, spec, [d.theta], 0.1)
+    cal, _ = calibrate_da0_over_grid(d, LINE, spec, 0.1)
     resp = mode_response(cal, LINE, spec)
     weights = spec.modes**2
     assert float(np.max(weights.T @ resp.eps**2)) == pytest.approx(0.1, abs=1e-12)
@@ -152,15 +152,30 @@ def test_calibration_reaches_fixed_point():
 
 def test_point_calibration_is_the_one_point_grid():
     spec = two_guide_spectrum()
-    d = drive(math.pi / 4.0, 0.7)
-    grid = calibrate_da0_over_grid(d, LINE, spec, [d.theta], 0.1)
-    assert calibrate_da0_over_grid(d, LINE, spec, d.theta, 0.1).da0 == grid.da0
+    point, _ = calibrate_da0_over_grid(drive(math.pi / 4.0, 0.7), LINE, spec, 0.1)
+    grid, _ = calibrate_da0_over_grid(drive(math.pi / 4.0, [0.7]), LINE, spec, 0.1)
+    assert point.da0 == grid.da0
+
+
+@pytest.mark.parametrize(
+    "theta", [0.7, np.linspace(0.0, math.pi, 301)], ids=["point", "grid"]
+)
+def test_calibration_returns_the_calibrated_drive_response(theta):
+    spec = eigendecompose(build_laplacian(ArrayTopology.ring(31)))
+    cal, modes = calibrate_da0_over_grid(drive(math.pi / 4.0, theta), LINE, spec, 0.1)
+    ref = mode_response(cal, LINE, spec)
+    assert modes.eps.shape == ref.eps.shape == np.shape(theta) + (spec.n,)
+    assert modes.lambda0.tobytes() == ref.lambda0.tobytes()
+    for name in ("dlambda", "delta_l", "eps"):
+        got, want = getattr(modes, name), getattr(ref, name)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
+    assert (modes.omega_d, modes.v) == (ref.omega_d, ref.v)
 
 
 def test_grid_calibration_bounds_every_point():
     spec = two_guide_spectrum()
     thetas = np.linspace(0.0, math.pi, 301)
-    cal = calibrate_da0_over_grid(drive(math.pi / 4.0, 0.0), LINE, spec, thetas, 0.1)
+    cal, _ = calibrate_da0_over_grid(drive(math.pi / 4.0, thetas), LINE, spec, 0.1)
     weights = spec.modes**2
     peaks = []
     for theta in thetas:
@@ -186,7 +201,7 @@ def test_calibration_without_a_finite_da0_raises(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
         with pytest.raises(NonFinite, match="over the grid gives da0 = "):
-            calibrate_da0_over_grid(seed, LINE, two_guide_spectrum(), [1.0], 0.1)
+            calibrate_da0_over_grid(seed, LINE, two_guide_spectrum(), 0.1)
 
 
 @pytest.mark.parametrize(

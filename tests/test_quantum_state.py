@@ -479,8 +479,7 @@ def test_maximally_entangled_overlaps():
 
 def test_wick_density_matrix_tracks_perturbative_state():
     d = DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=0.9, omega_d=OMEGA_D)
-    d = calibrate_da0_over_grid(d, LINE, SPEC2, [d.theta], 0.01)
-    modes = mode_response(d, LINE, SPEC2)
+    _, modes = calibrate_da0_over_grid(d, LINE, SPEC2, 0.01)
     eps2 = float(np.max(modes.eps**2))
     pert = perturbative_density_matrix(modes, SPEC2)
     wick = density_matrix(output_gaussian(modes, SPEC2, 0.0), post_select=True)
@@ -489,8 +488,7 @@ def test_wick_density_matrix_tracks_perturbative_state():
 
 def test_purity_at_calibrated_amplitude():
     d = DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=1.2, omega_d=OMEGA_D)
-    d = calibrate_da0_over_grid(d, LINE, SPEC2, [d.theta], 0.1)
-    modes = mode_response(d, LINE, SPEC2)
+    _, modes = calibrate_da0_over_grid(d, LINE, SPEC2, 0.1)
     tdm = density_matrix(output_gaussian(modes, SPEC2, 0.0), post_select=True)
     purity = float(np.real(np.trace(tdm.rho @ tdm.rho)))
     assert purity == pytest.approx(1.0, abs=5e-3)
@@ -523,6 +521,21 @@ def test_singular_point_of_a_batch_is_nan_and_leaves_the_others_bit_identical():
                               temperature=0.0)
     with pytest.raises(NonFinite, match="qutrit block is not finite"):
         density_matrix(one, post_select=False)
+
+
+def test_fidelities_and_entropy_carry_the_state_errors():
+    regular = _stacked([([0.05, -0.02], 0.01)] * 2)
+    number, anomalous = regular.number.copy(), regular.anomalous.copy()
+    number[1], anomalous[1] = -np.eye(2), 0.0  # Q = 0: no state at point 1
+    tdm = density_matrix(
+        GaussianOutputState(number=number, anomalous=anomalous, temperature=0.0)
+    )
+    state_error = tdm.errors[1]
+    assert isinstance(state_error, NonFinite)
+    for observable in (noon_fidelity, maximally_entangled_fidelity, von_neumann_entropy):
+        cells = observable(tdm)
+        assert cells[1] is state_error, observable.__name__
+        assert cells[0] == observable(density_matrix(regular))[0]
 
 
 def test_non_finite_pair_norm_fails_its_point_with_zero_amplitudes():

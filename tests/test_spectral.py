@@ -281,8 +281,7 @@ def _calibrated(spectrum, theta):
     """The drive at theta whose largest band-centre photon number is 0.1."""
     seed = DriveParams(a0=1e-23, da0=1e-26, phi=math.pi / 4.0, theta=theta,
                        omega_d=OMEGA_D)
-    drive = calibrate_da0_over_grid(seed, LINE, spectrum, np.atleast_1d(theta), 0.1)
-    return mode_response(drive, LINE, spectrum)
+    return calibrate_da0_over_grid(seed, LINE, spectrum, 0.1)[1]
 
 
 CALIBRATED = [
@@ -332,3 +331,11 @@ def test_per_mode_functions_of_a_batch_equal_their_one_point_values():
             scattering_amplitude(n, w1, w2, p) for p in points]
     assert pair_integral_quadrature(3, 1e-11, batch).tolist() == [
         pair_integral_quadrature(3, 1e-11, p) for p in points]
+    omegas = np.array([0.1, 0.5, 0.8]) * OMEGA_D
+    for omega in (w1, omegas):  # a batch's flux is shaped (K,) + omega's shape
+        flux = photon_flux_density(2, omega, batch, spectrum, 0.04)
+        assert flux.shape == thetas.shape + np.shape(omega)
+        np.testing.assert_allclose(flux, [  # N_i of a batch and a point: a few ulps
+            photon_flux_density(2, omega, p, spectrum, 0.04) for p in points],
+            rtol=1e-15, atol=0.0)
+    assert isinstance(photon_flux_density(2, w1, points[0], spectrum, 0.04), float)
