@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +89,6 @@ _OBSERVABLES = {
 }
 _TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_\d+)*)")
 _QUTRIT_OBS = tuple(k for k, v in _OBSERVABLES.items() if v[1] is _qutrit_state)
-_MIN_N = {"time-delay": 2, "broadband": 2}  # they report guide 2 as well
-# Subcommands that read one theta, no temperature, or no observables
-_ONE_THETA = ("spectrum", "time-delay", "oracle-check")
-_NO_TEMPERATURE = ("time-delay", "broadband", "calibrate")
-_NO_OBSERVABLES = ("spectrum", "time-delay", "broadband", "calibrate", "oracle-check")
 
 
 @dataclass(frozen=True)
@@ -100,13 +96,9 @@ class RunConfig:
     """Validated sweep configuration."""
 
     topology: ArrayTopology
-    a0: float                 # J
-    da0: float | None         # J; exactly one of da0 / target_occupancy is set
-    target_occupancy: float | None
-    phi: float                # rad
-    thetas: np.ndarray        # rad, the sweep grid (length 1 for a point run)
+    drive: DriveParams        # theta is the grid, or the one angle the command reads
+    target_occupancy: float | None  # calibrates drive.da0 when set
     single_theta: bool
-    omega_d: float            # rad/s
     line: LineParams
     temperatures: tuple       # K
     observables: tuple        # validated header tokens
@@ -218,10 +210,10 @@ def parse_config(
     """Parse and validate a key=value config, with optional layered overrides.
 
     Each key's row parses and range-checks its value; the rules here are
-    those between keys.  ``command`` names the subcommand: ``entangle``
-    without given observables reads its qutrit ones; a key the command would
-    ignore, or a config it cannot run, is an error here rather than at run
-    time.
+    those between keys.  ``command`` names the subcommand, whose row states
+    what it reads: ``entangle`` without given observables reads its qutrit
+    ones; a key the command would ignore, or a config it cannot run, is an
+    error here rather than at run time.  The run's drive is built here once.
     """
     given = _parse_pairs(text)
     for key, value in (overrides or {}).items():
@@ -235,10 +227,10 @@ def parse_config(
         if key in given or default is not None
     }
 
+    reads = _COMMANDS[command]
     n = values["n"]
-    n_min = _MIN_N.get(command, 1)
-    if n < n_min:
-        raise RangeError(f"{command} needs n >= {n_min}, got n = {n}")
+    if n < reads.min_n:
+        raise RangeError(f"{command} needs n >= {reads.min_n}, got n = {n}")
     try:
         topology = values["topology"](n)
     except RingTooSmall as exc:  # a rule of the n key
@@ -260,14 +252,14 @@ def parse_config(
         )
 
     temps = values["temperature_mk"]
-    if command in _ONE_THETA and len(thetas) > 1:
+    if not reads.grid and len(thetas) > 1:
         raise RangeError(f"{command} reads one theta, got a grid of {len(thetas)}")
-    if command in _NO_TEMPERATURE and temps != (0.0,):
+    if reads.temperatures == 0 and temps != (0.0,):
         raise RangeError(f"{command} reads no temperature; temperature_mk must be 0")
-    if command in _NO_OBSERVABLES and "observables" in given:
+    if not reads.observables and "observables" in given:
         raise RangeError(f"{command} reads no observables")
-    if command == "oracle-check" and len(temps) > 1:
-        raise RangeError(f"oracle-check reads one temperature, got {len(temps)}")
+    if reads.temperatures == 1 and len(temps) > 1:
+        raise RangeError(f"{command} reads one temperature, got {len(temps)}")
     if command == "oracle-check" and n != 2:
         raise RangeError("oracle-check covers n=2 only")
     if command == "calibrate" and target is None:
@@ -285,15 +277,16 @@ def parse_config(
     if n != 2 and qutrit:
         raise RangeError(f"{', '.join(_QUTRIT_OBS)} need n = 2, got n = {n}")
 
+    a0 = values["a0_joule"]
+    drive = DriveParams(  # a calibration seeds da0 at a0 * 1e-3
+        a0=a0, da0=a0 * 1e-3 if da0 is None else da0, phi=values["phi_rad"],
+        theta=thetas if reads.grid else thetas[0], omega_d=values["omega_d_rad_s"],
+    )
     return RunConfig(
         topology=topology,
-        a0=values["a0_joule"],
-        da0=da0,
+        drive=drive,
         target_occupancy=target,
-        phi=values["phi_rad"],
-        thetas=thetas,
         single_theta=single,
-        omega_d=values["omega_d_rad_s"],
         line=LineParams(z0=values["z0_ohm"], v=values["v_m_s"]),
         temperatures=temps,
         observables=observables,
@@ -305,21 +298,17 @@ def _fmt(value) -> str:
     return "%.17g" % value
 
 
-def _prepare(config: RunConfig, theta) -> tuple:
-    """The preamble of every subcommand: (spectrum, drive, modes) at ``theta``, once.
+def _prepare(config: RunConfig) -> tuple:
+    """The preamble of every subcommand: (spectrum, drive, modes), once.
 
-    ``theta`` is the angle or the angle array the command reads, the whole
-    grid by the parse-time rules; da0 is taken as given or calibrated over it.
+    The drive is the config's, its da0 calibrated over its theta when the
+    config sets a target occupancy.
     """
     spectrum = eigendecompose(build_laplacian(config.topology))
-    seed = config.da0 if config.da0 is not None else config.a0 * 1e-3
-    drive = DriveParams(
-        a0=config.a0, da0=seed, phi=config.phi, theta=theta, omega_d=config.omega_d
-    )
     if config.target_occupancy is None:
-        return spectrum, drive, mode_response(drive, config.line, spectrum)
+        return spectrum, config.drive, mode_response(config.drive, config.line, spectrum)
     return spectrum, *calibrate_da0_over_grid(
-        drive, config.line, spectrum, config.target_occupancy
+        config.drive, config.line, spectrum, config.target_occupancy
     )
 
 
@@ -400,7 +389,7 @@ def _sweep(config: RunConfig) -> tuple:
     The grid runs one batch over the theta array per temperature; the state
     is None when the first point failed or no token reads it.
     """
-    spectrum, _, modes = _prepare(config, config.thetas)
+    spectrum, drive, modes = _prepare(config)
     specs = [_observable(token) for token in config.observables]
     batches = []
     first = None
@@ -408,9 +397,9 @@ def _sweep(config: RunConfig) -> tuple:
         columns, failed, tdm = _point_values(specs, modes, spectrum, temp)
         if not batches and tdm is not None and 0 not in failed:
             first = tdm.rho[0]
-        batches.append((f",{_fmt(config.phi)},{_fmt(temp * 1e3)}", columns, failed))
+        batches.append((f",{_fmt(drive.phi)},{_fmt(temp * 1e3)}", columns, failed))
     lines, failures = _tabulate(
-        ("theta", "phi", "temperature_mk"), config.observables, config.thetas, batches
+        ("theta", "phi", "temperature_mk"), config.observables, drive.theta, batches
     )
     return lines, failures, first
 
@@ -428,8 +417,8 @@ def run_sweep(config: RunConfig) -> tuple:
 
 def _run_spectrum(config: RunConfig) -> tuple:
     """Photon flux spectral density of waveguide 1 over (0, omega_d)."""
-    spectrum, _, modes = _prepare(config, config.thetas[0])
-    omegas = omega_grid(config.omega_d)
+    spectrum, drive, modes = _prepare(config)
+    omegas = omega_grid(drive.omega_d)
     temps = config.temperatures
     flux = [photon_flux_density(0, omegas, modes, spectrum, temp) for temp in temps]
     temps_mk = np.repeat(np.array(temps) * 1e3, len(omegas))
@@ -439,8 +428,8 @@ def _run_spectrum(config: RunConfig) -> tuple:
 
 def _run_time_delay(config: RunConfig) -> tuple:
     """Broadband G2_11 and G2_12 against the dimensionless delay omega_d*tau."""
-    spectrum, _, modes = _prepare(config, config.thetas[0])
-    tau = TAU_GRID / config.omega_d
+    spectrum, drive, modes = _prepare(config)
+    tau = TAU_GRID / drive.omega_d
     g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line)
     g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line)
     header = "omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"
@@ -449,11 +438,11 @@ def _run_time_delay(config: RunConfig) -> tuple:
 
 def _run_broadband(config: RunConfig) -> tuple:
     """Normalized zero-delay broadband correlations, one batch over the theta grid."""
-    spectrum, _, modes = _prepare(config, config.thetas)
+    spectrum, drive, modes = _prepare(config)
     specs = [(_correlations, g2_broadband_normalized, (0, j)) for j in (0, 1)]
     columns, failed, _ = _point_values(specs, modes, spectrum, 0.0)
     batch = ("", columns, failed)
-    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), config.thetas, [batch])
+    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), drive.theta, [batch])
 
 
 def _run_entangle(config: RunConfig) -> tuple:
@@ -470,7 +459,7 @@ def _run_entangle(config: RunConfig) -> tuple:
 
 def _run_calibrate(config: RunConfig) -> tuple:
     """Report the da0 that meets the target occupancy over the theta grid."""
-    _, drive, _ = _prepare(config, config.thetas)
+    _, drive, _ = _prepare(config)
     header = "da0_joule,target_occupancy"
     return _table(header, [drive.da0], [config.target_occupancy]), 0
 
@@ -482,11 +471,11 @@ _ORACLE_CUTOFFS = (16, 20, 24, 28, 32)
 
 def _run_oracle_check(config: RunConfig) -> tuple:
     """Compare Wick-path moments and rho against the per-mode Fock oracle."""
-    spectrum, _, modes = _prepare(config, config.thetas[0])
+    spectrum, drive, modes = _prepare(config)
     _finite(modes.eps, "a mode amplitude")  # the oracle's squeeze needs finite ones
     temp = config.temperatures[0]
     state = output_gaussian(modes, spectrum, temp)
-    n_t = thermal_occupation(config.omega_d / 2.0, temp)
+    n_t = thermal_occupation(drive.omega_d / 2.0, temp)
     for cutoff in _ORACLE_CUTOFFS:
         try:
             ref = oracle.build_state(
@@ -517,15 +506,21 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     return _table("max_moment_error,max_rho_error", [moment_err], [rho_err]), 0
 
 
-SUBCOMMANDS = {
-    "sweep": run_sweep,
-    "spectrum": _run_spectrum,
-    "time-delay": _run_time_delay,
-    "broadband": _run_broadband,
-    "entangle": _run_entangle,
-    "calibrate": _run_calibrate,
-    "oracle-check": _run_oracle_check,
+# One row per subcommand: its runner and what parse_config lets it read, the
+# least n, a theta grid (else one angle), how many temperatures (None: any)
+# and observables.
+_Command = namedtuple("_Command", "run min_n grid temperatures observables")
+_COMMANDS = {
+    "sweep": _Command(run_sweep, 1, True, None, True),
+    "spectrum": _Command(_run_spectrum, 1, False, None, False),
+    "time-delay": _Command(_run_time_delay, 2, False, 0, False),  # reports guide 2
+    "broadband": _Command(_run_broadband, 2, True, 0, False),  # reports guide 2
+    "entangle": _Command(_run_entangle, 1, True, None, True),
+    "calibrate": _Command(_run_calibrate, 1, True, 0, False),
+    "oracle-check": _Command(_run_oracle_check, 1, False, 1, False),
 }
+# Name -> runner: main calls through this map, whose values a tracer can rebind.
+SUBCOMMANDS = {name: row.run for name, row in _COMMANDS.items()}
 
 
 _FLAGS = {"--" + key.replace("_", "-"): key for key in CONFIG_KEYS}

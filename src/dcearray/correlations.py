@@ -129,7 +129,8 @@ def cauchy_schwarz_violation(corr: CorrelationSet, i: int, j: int):
 
     Defined for symmetric mode pairs only (equal intensities); a positive
     value certifies nonclassical inter-waveguide correlations.  Over a
-    batch, an asymmetric point holds its AsymmetricModes error in its cell.
+    batch, a failed point holds its error in its cell: the state's, else
+    AsymmetricModes.
     """
     n_i, n_j = corr.intensities[..., i], corr.intensities[..., j]
     scale = np.maximum(abs(n_i), abs(n_j))
@@ -140,4 +141,4 @@ def cauchy_schwarz_violation(corr: CorrelationSet, i: int, j: int):
             "1e-9 relative; the symmetric-pair inequality does not apply"
         ),
     )
-    return with_errors(corr.g2(i, j) - corr.g2(i, i), errors)
+    return with_errors(corr.g2(i, j) - corr.g2(i, i), {**errors, **corr.errors})

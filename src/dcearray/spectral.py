@@ -53,9 +53,9 @@ def omega_grid(omega_d: float) -> np.ndarray:
 def scattering_amplitude(
     n: int, omega1: float, omega2: float, modes: ModeResponse
 ) -> complex:
-    """Pair-scattering amplitude S_n(w', w'') of normal mode n."""
+    """Pair-scattering amplitude S_n(w', w'') of normal mode n; (K,) for a batch."""
     if omega1 <= 0.0 or omega2 <= 0.0:
-        return 0.0j
+        return np.zeros(modes.delta_l.shape[:-1], complex)[()]
     return -1j * modes.delta_l[..., n] / modes.v * math.sqrt(omega1 * omega2)
 
 

@@ -22,8 +22,8 @@ def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.topology.n == 2
     assert cfg.line.l0 == pytest.approx(55.0 / 1.2e8)
-    assert cfg.phi == pytest.approx(math.pi / 4.0)
-    assert cfg.omega_d == pytest.approx(2.0 * math.pi * 10.3e9)
+    assert cfg.drive.phi == pytest.approx(math.pi / 4.0)
+    assert cfg.drive.omega_d == pytest.approx(2.0 * math.pi * 10.3e9)
     assert cfg.temperatures == (0.0,)
 
 
@@ -79,7 +79,7 @@ def test_f_eq10_is_not_read_as_an_index():
 
 def test_overrides_layer_on_file():
     cfg = parse_config(MINIMAL, {"phi_rad": "0.9", "temperature_mk": "0,25"})
-    assert cfg.phi == pytest.approx(0.9)
+    assert cfg.drive.phi == pytest.approx(0.9)
     assert cfg.temperatures == (0.0, 0.025)
 
 
@@ -718,15 +718,15 @@ def test_batched_grid_matches_point_evaluation(config, failed):
     from dcearray.drive import mode_response
 
     cfg = parse_config(config)
-    spectrum, drive, _ = _prepare(cfg, cfg.thetas)
+    spectrum, drive, _ = _prepare(cfg)
     lines, failures = run_sweep(cfg)
     assert failures == failed
     rows = [line.split(",") for line in lines[1:-1]]
-    points = [(t, theta) for t in cfg.temperatures for theta in cfg.thetas.tolist()]
+    points = [(t, theta) for t in cfg.temperatures for theta in cfg.drive.theta.tolist()]
     assert len(rows) == len(points)
     messages = set()
     for row, (temp, theta) in zip(rows, points):
-        assert row[:3] == ["%.17g" % theta, "%.17g" % cfg.phi, "%.17g" % (temp * 1e3)]
+        assert row[:3] == ["%.17g" % theta, "%.17g" % cfg.drive.phi, "%.17g" % (temp * 1e3)]
         modes = mode_response(replace(drive, theta=theta), cfg.line, spectrum)
         values, error = _point_cells(cfg.observables, modes, spectrum, temp)
         assert row[-1] == error
@@ -751,7 +751,7 @@ def _cell_by_cell_lines(cfg):
     from dcearray.cli import _observable, _prepare
     from dcearray.errors import DceArrayError, with_errors
 
-    spectrum, _, modes = _prepare(cfg, cfg.thetas)
+    spectrum, _, modes = _prepare(cfg)
     header = ["theta", "phi", "temperature_mk", *cfg.observables, "error"]
     lines = ["# " + ",".join(header)]
     failures = 0
@@ -762,8 +762,8 @@ def _cell_by_cell_lines(cfg):
                 states[state] = state(modes, spectrum, temp)
             column = value(states[state], *indices)
             columns.append(with_errors(column, states[state].errors).tolist())
-        for theta, cells in zip(cfg.thetas.tolist(), zip(*columns)):
-            row = ["%.17g" % theta, "%.17g" % cfg.phi, "%.17g" % (temp * 1e3)]
+        for theta, cells in zip(cfg.drive.theta.tolist(), zip(*columns)):
+            row = ["%.17g" % theta, "%.17g" % cfg.drive.phi, "%.17g" % (temp * 1e3)]
             error = next((c for c in cells if isinstance(c, DceArrayError)), None)
             if error is None:
                 row += ["%.17g" % c for c in cells] + [""]
@@ -1077,6 +1077,20 @@ def test_readme_key_table_names_every_config_key():
     rows = table.splitlines()[2:]  # after the header and its rule
     named = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert named == list(CONFIG_KEYS)
+
+
+def test_readme_subcommand_table_mirrors_the_rows():
+    from dcearray.cli import _COMMANDS
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| subcommand |", 1)[1].split("\n\n")[0]
+    rows = [[c.strip() for c in row.split("|")[1:-1]] for row in table.splitlines()[2:]]
+    temperatures = {None: "any", 1: "one", 0: "none"}
+    assert rows == [
+        [f"`{name}`", "grid" if reads.grid else "one", temperatures[reads.temperatures],
+         "yes" if reads.observables else "no", str(reads.min_n)]
+        for name, reads in _COMMANDS.items()
+    ]
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -216,3 +217,21 @@ def test_batched_correlations_equal_point_ones(thetas, temp_mk, spectrum):
     if temp == 0.0 and spectrum is SPEC2:
         ok = [k for k in range(len(thetas)) if k not in batch.errors]
         assert np.max(np.abs(g2[ok, 0, 0] + g2[ok, 0, 1] - 1.0), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("temp", [None, 0.0], ids=["zero-temperature", "thermal-0K"])
+def test_violation_of_a_batch_holds_its_states_error(temp):
+    # the silent point of a batch fails its correlation set, so its violation
+    # cell holds the set's ZeroIntensity rather than nan
+    def correlations(eps):
+        modes = dataclasses.replace(modes_at(0.9, 0.4), eps=np.array(eps))
+        if temp is None:
+            return g2_zero_temperature(modes, SPEC2)
+        return g2_thermal(modes, SPEC2, temp)
+
+    corr = correlations([[0.1, 0.2], [0.0, 0.0]])
+    assert list(corr.errors) == [1] and isinstance(corr.errors[1], ZeroIntensity)
+    cells = cauchy_schwarz_violation(corr, 0, 1)
+    point = cauchy_schwarz_violation(correlations([0.1, 0.2]), 0, 1)
+    assert cells[0] == pytest.approx(point, rel=1e-12, abs=0.0)
+    assert cells[1] is corr.errors[1]

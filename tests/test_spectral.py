@@ -327,8 +327,9 @@ def test_per_mode_functions_of_a_batch_equal_their_one_point_values():
     for n in range(spectrum.n):
         assert pair_integral(n, 1e-11, batch).tolist() == [
             pair_integral(n, 1e-11, p) for p in points]
-        assert scattering_amplitude(n, w1, w2, batch).tolist() == [
-            scattering_amplitude(n, w1, w2, p) for p in points]
+        for pair in ((w1, w2), (-w1, w2)):  # in and outside the band
+            assert scattering_amplitude(n, *pair, batch).tolist() == [
+                scattering_amplitude(n, *pair, p) for p in points]
     assert pair_integral_quadrature(3, 1e-11, batch).tolist() == [
         pair_integral_quadrature(3, 1e-11, p) for p in points]
     omegas = np.array([0.1, 0.5, 0.8]) * OMEGA_D
