@@ -278,6 +278,8 @@ def parse_config(
         raise RangeError(f"{', '.join(_QUTRIT_OBS)} need n = 2, got n = {n}")
 
     a0 = values["a0_joule"]
+    if target is not None and a0 * 1e-3 == 0.0:
+        raise RangeError(f"a0_joule = {a0} leaves the calibration seed a0 * 1e-3 at 0")
     drive = DriveParams(  # a calibration seeds da0 at a0 * 1e-3
         a0=a0, da0=a0 * 1e-3 if da0 is None else da0, phi=values["phi_rad"],
         theta=thetas if reads.grid else thetas[0], omega_d=values["omega_d_rad_s"],

@@ -29,7 +29,7 @@ import numpy as np
 from .drive import ModeResponse, intensities
 from .errors import AsymmetricModes, ZeroIntensity, point_errors, with_errors
 from .lattice import LaplacianSpectrum
-from .quantum_state import _mode_moments, _pair_sum, thermal_occupation
+from .quantum_state import _mode_moments, _pair_sum
 
 __all__ = [
     "CorrelationSet",
@@ -118,8 +118,7 @@ def g2_thermal(
     u_n v_n (1 + 2 N_T) are imaginary, so |<a_i a_j>| is the pair sum of
     their imaginary parts.
     """
-    n_t = thermal_occupation(modes.omega_d / 2.0, temperature)
-    occ, pair = _mode_moments(modes.eps, n_t)
+    n_t, occ, pair = _mode_moments(modes, temperature)
     g1 = occ @ spectrum.modes**2
     return _normalized(g1, n_t, spectrum, pair.imag, occ)
 

@@ -94,10 +94,6 @@ class ModeResponse:
     omega_d: float        # rad/s
     v: float              # m/s
 
-    @property
-    def n(self) -> int:
-        return self.eps.shape[-1]
-
 
 def intensities(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarray:
     """Mean photon number N_i = sum_n (c_n^i)^2 eps_n^2 of each waveguide at T=0."""

@@ -1,7 +1,7 @@
 """Coupling graph of the waveguide array and its normal-mode decomposition.
 
-The array of waveguides coupled nearest-neighbour maps onto a graph
-Laplacian: open chains give the path graph, rings the cycle graph, and
+The array of waveguides maps onto the Laplacian of a weighted edge list:
+open chains hold the unit-weight path graph, rings the cycle graph, and
 arbitrary weighted graphs are accepted for defect studies.  Normal modes
 of the boundary dynamics are the Laplacian eigenvectors; every downstream
 observable is a function of the eigenvalues ``lambda_n`` and the real
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,14 @@ class TopologyKind(enum.Enum):
 class ArrayTopology:
     """Coupling layout of the waveguide array.
 
-    ``edges`` is only consulted for CUSTOM_GRAPH and holds ``(i, j, weight)``
-    triples with 0-based node indices.
+    ``edges`` holds ``(i, j, weight)`` triples with 0-based node indices, the
+    unit-weight path or cycle for chains and rings.  ``kind`` selects only the
+    closed form of :func:`analytic_spectrum` and the ring's n >= 3 rule.
     """
 
     kind: TopologyKind
     n: int
-    edges: tuple = field(default=())
+    edges: tuple
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,11 +69,11 @@ class ArrayTopology:
 
     @classmethod
     def open_chain(cls, n: int) -> "ArrayTopology":
-        return cls(TopologyKind.OPEN_CHAIN, n)
+        return cls(TopologyKind.OPEN_CHAIN, n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
     @classmethod
     def ring(cls, n: int) -> "ArrayTopology":
-        return cls(TopologyKind.RING, n)
+        return cls(TopologyKind.RING, n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
 
     @classmethod
     def custom(cls, n: int, edges) -> "ArrayTopology":
@@ -97,16 +98,9 @@ class LaplacianSpectrum:
 
 
 def build_laplacian(topology: ArrayTopology) -> np.ndarray:
-    """Weighted graph Laplacian of the coupling topology."""
-    n = topology.n
-    lap = np.zeros((n, n))
-    if topology.kind is TopologyKind.OPEN_CHAIN:
-        edges = [(i, i + 1, 1.0) for i in range(n - 1)]
-    elif topology.kind is TopologyKind.RING:
-        edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    else:
-        edges = list(topology.edges)
-    for i, j, w in edges:
+    """Weighted graph Laplacian of the coupling topology's edges."""
+    lap = np.zeros((topology.n, topology.n))
+    for i, j, w in topology.edges:
         lap[i, i] += w
         lap[j, j] += w
         lap[i, j] -= w

@@ -94,16 +94,17 @@ def _pair_sum(weights, c, rows=slice(None), cols=slice(None)) -> np.ndarray:
     return np.einsum("...n,ni,nj->...ij", weights, c[:, rows], c[:, cols])
 
 
-def _mode_moments(eps, n_thermal: float) -> tuple:
-    """Occupation and pair amplitude of each output normal mode.
+def _mode_moments(modes: ModeResponse, temperature: float) -> tuple:
+    """N_T at w_d / 2, and the occupation and pair amplitude of each output mode.
 
     N_T + |v_n|^2 (1 + 2 N_T) and u_n v_n (1 + 2 N_T), u_n = sqrt(1 + eps_n^2),
-    v_n = -i eps_n.
+    v_n = -i eps_n, with N_T = thermal_occupation(w_d / 2, temperature).
     """
-    u = np.sqrt(1.0 + eps**2)
-    v = -1j * eps
-    occ = n_thermal + np.abs(v) ** 2 * (1.0 + 2.0 * n_thermal)
-    return occ, u * v * (1.0 + 2.0 * n_thermal)
+    n_t = thermal_occupation(modes.omega_d / 2.0, temperature)
+    u = np.sqrt(1.0 + modes.eps**2)
+    v = -1j * modes.eps
+    occ = n_t + np.abs(v) ** 2 * (1.0 + 2.0 * n_t)
+    return n_t, occ, u * v * (1.0 + 2.0 * n_t)
 
 
 def _hermite_step(k: tuple) -> tuple:
@@ -180,8 +181,7 @@ def output_gaussian(
     modes: ModeResponse, spectrum: LaplacianSpectrum, temperature: float = 0.0
 ) -> GaussianOutputState:
     """Exact Gaussian description of the emitted field at the band centre."""
-    n_t = thermal_occupation(modes.omega_d / 2.0, temperature)
-    occ, pair = _mode_moments(modes.eps, n_t)
+    _, occ, pair = _mode_moments(modes, temperature)
     return GaussianOutputState(
         number=_pair_sum(occ, spectrum.modes).astype(complex),
         anomalous=_pair_sum(pair, spectrum.modes),

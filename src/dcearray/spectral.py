@@ -7,11 +7,11 @@ The perturbative boundary scattering amplitude of normal mode n is
 from which follow the photon flux spectral density, the broadband
 intensity G1_i, and the time-delayed pair correlator G2_ij(tau) built
 from I_n(tau) = int_0^{w_d} sqrt(w (w_d - w)) S_n e^{i w tau} dw.  Every
-frequency integral has an elementary closed form, and deltaL_n / v =
-2 eps_n / w_d makes each broadband quantity, the flux density included, a
-band-centre pair sum of :mod:`dcearray.correlations` times a frequency
-factor.  Adaptive quadrature (:func:`pair_integral_quadrature`) is the
-tests' reference for the closed forms, not a run-time check.
+frequency integral has an elementary closed form, and every function reads
+deltaL_n / v as 2 eps_n / w_d, which makes each broadband quantity, the flux
+density included, a band-centre pair sum of :mod:`dcearray.correlations`
+times a frequency factor.  Adaptive quadrature (:func:`pair_integral_quadrature`)
+is the tests' reference for the closed forms, not a run-time check.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ def omega_grid(omega_d: float) -> np.ndarray:
 def scattering_amplitude(
     n: int, omega1: float, omega2: float, modes: ModeResponse
 ) -> complex:
-    """Pair-scattering amplitude S_n(w', w'') of normal mode n; (K,) for a batch."""
+    """S_n(w', w'') = -2i eps_n sqrt(w' w'') / w_d in band, else 0; (K,) for a batch."""
     if omega1 <= 0.0 or omega2 <= 0.0:
-        return np.zeros(modes.delta_l.shape[:-1], complex)[()]
-    return -1j * modes.delta_l[..., n] / modes.v * math.sqrt(omega1 * omega2)
+        return np.zeros(modes.eps.shape[:-1], complex)[()]
+    return -2j * modes.eps[..., n] / modes.omega_d * math.sqrt(omega1 * omega2)
 
 
 def photon_flux_density(
@@ -120,8 +120,9 @@ def _poly_kernel_closed(tau, w_d: float):
 
 
 def pair_integral(n: int, tau: float, modes: ModeResponse) -> complex:
-    """I_n(tau) = -i (deltaL_n / v) * int_0^{w_d} w (w_d - w) e^{i w tau} dw."""
-    return -1j * modes.delta_l[..., n] / modes.v * _poly_kernel_closed(tau, modes.omega_d)
+    """I_n(tau) = -2i (eps_n / w_d) int_0^{w_d} w (w_d - w) e^{i w tau} dw."""
+    w_d = modes.omega_d
+    return -2j * modes.eps[..., n] / w_d * _poly_kernel_closed(tau, w_d)
 
 
 def _poly_kernel_quadrature(tau: float, w_d: float) -> complex:
@@ -143,7 +144,7 @@ def _poly_kernel_quadrature(tau: float, w_d: float) -> complex:
 def pair_integral_quadrature(n: int, tau: float, modes: ModeResponse) -> complex:
     """Adaptive-quadrature evaluation of I_n(tau); the tests' reference."""
     j_tau = _poly_kernel_quadrature(tau, modes.omega_d)
-    return -1j * modes.delta_l[..., n] / modes.v * j_tau
+    return -2j * modes.eps[..., n] / modes.omega_d * j_tau
 
 
 def g2_broadband(

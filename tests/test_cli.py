@@ -484,6 +484,15 @@ def test_entangle_point_evaluates_its_state_once(tmp_path, monkeypatch):
     assert calls == {"density_matrix": 1} and len(drive_calls) == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+def test_underflowing_calibration_seed_is_a_config_error(command, capsys):
+    # a0 * 1e-3 is 0 in double precision, so no da0 seeds the calibration
+    args = [command, "--target-occupancy", "0.1", "--a0-joule", "5e-324",
+            "--theta-steps", "3"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("config error: a0_joule = 5e-324 ")
+
+
 def test_non_positive_mode_energy_is_reported_by_calibration(capsys):
     args = ["sweep", "--phi-rad", "3", "--target-occupancy", "0.1",
             "--theta-steps", "3"]

@@ -32,6 +32,21 @@ def test_open_chain_three_laplacian():
     assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
+def test_chain_and_ring_hold_their_unit_weight_edges():
+    assert ArrayTopology.open_chain(3).edges == ((0, 1, 1.0), (1, 2, 1.0))
+    assert ArrayTopology.ring(3).edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("open_chain", n) for n in (2, 3, 8, 64)] + [("ring", n) for n in (3, 4, 31, 64)],
+)
+def test_laplacian_is_the_custom_graph_of_its_edges(kind, n):
+    top = getattr(ArrayTopology, kind)(n)
+    custom = build_laplacian(ArrayTopology.custom(n, top.edges))
+    assert np.array_equal(build_laplacian(top), custom)
+
+
 def test_custom_graph_laplacian_row_sums():
     top = ArrayTopology.custom(4, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.0)])
     lap = build_laplacian(top)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,18 @@ def test_g1_equal_for_both_guides():
     assert g1_broadband(0, MODES, SPEC2, LINE) == pytest.approx(
         g1_broadband(1, MODES, SPEC2, LINE), rel=1e-12
     )
+
+
+def test_spectral_amplitudes_read_the_drive_as_eps():
+    # deltaL_n / v is 2 eps_n / w_d: a response whose delta_l and v are unknown
+    # gives the same amplitudes
+    blind = replace(MODES, delta_l=np.full_like(MODES.delta_l, np.nan), v=math.nan)
+    w1, w2, tau = 0.3 * OMEGA_D, 0.7 * OMEGA_D, 3.7 / OMEGA_D
+    for n in range(2):
+        for amplitude in (lambda m: scattering_amplitude(n, w1, w2, m),
+                          lambda m: pair_integral(n, tau, m),
+                          lambda m: pair_integral_quadrature(n, tau, m)):
+            assert amplitude(blind) == pytest.approx(amplitude(MODES), rel=1e-15)
 
 
 def test_pair_integral_at_zero_delay():
