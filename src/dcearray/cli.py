@@ -167,7 +167,8 @@ def _out(key: str, raw: str) -> str:
 
 # One row per config key: (default text or None, parser).  A parser turns the
 # key's text into its value or raises the RangeError of the key's range rule;
-# a default goes through its row's parser as given text does.
+# a default goes through its row's parser as given text does.  The default
+# observables are the subcommand's, in its _COMMANDS row.
 CONFIG_KEYS = {
     "topology": ("open_chain", _topology),
     "n": ("2", _number(int)),
@@ -183,7 +184,7 @@ CONFIG_KEYS = {
     "z0_ohm": ("55", _POSITIVE),
     "v_m_s": ("1.2e8", _POSITIVE),
     "temperature_mk": ("0", _temperatures),
-    "observables": ("n_1,g2_1_1,g2_1_2", _tokens),
+    "observables": (None, _tokens),
     "out": (None, _out),
 }
 
@@ -211,9 +212,9 @@ def parse_config(
 
     Each key's row parses and range-checks its value; the rules here are
     those between keys.  ``command`` names the subcommand, whose row states
-    what it reads: ``entangle`` without given observables reads its qutrit
-    ones; a key the command would ignore, or a config it cannot run, is an
-    error here rather than at run time.  The run's drive is built here once.
+    what it reads and its default observables; a key the command would
+    ignore, or a config it cannot run, is an error here rather than at run
+    time.  The run's drive is built here once.
     """
     given = _parse_pairs(text)
     for key, value in (overrides or {}).items():
@@ -265,12 +266,10 @@ def parse_config(
     if command == "calibrate" and target is None:
         raise MissingRequired("calibrate requires target_occupancy")
 
-    observables = values["observables"]
+    observables = values.get("observables", reads.observables)
     for tok in observables:
         if not all(0 <= i < n for i in _observable(tok)[2]):
             raise RangeError(f"observable {tok!r} indexes outside 1..{n}")
-    if command == "entangle" and "observables" not in given:
-        observables = _QUTRIT_OBS
     qutrit = any(t in _QUTRIT_OBS for t in observables)
     if command == "entangle" and not qutrit:
         raise RangeError("entangle observables need one of " + ", ".join(_QUTRIT_OBS))
@@ -510,16 +509,16 @@ def _run_oracle_check(config: RunConfig) -> tuple:
 
 # One row per subcommand: its runner and what parse_config lets it read, the
 # least n, a theta grid (else one angle), how many temperatures (None: any)
-# and observables.
+# and its default observables (none: it takes no observables key).
 _Command = namedtuple("_Command", "run min_n grid temperatures observables")
 _COMMANDS = {
-    "sweep": _Command(run_sweep, 1, True, None, True),
-    "spectrum": _Command(_run_spectrum, 1, False, None, False),
-    "time-delay": _Command(_run_time_delay, 2, False, 0, False),  # reports guide 2
-    "broadband": _Command(_run_broadband, 2, True, 0, False),  # reports guide 2
-    "entangle": _Command(_run_entangle, 1, True, None, True),
-    "calibrate": _Command(_run_calibrate, 1, True, 0, False),
-    "oracle-check": _Command(_run_oracle_check, 1, False, 1, False),
+    "sweep": _Command(run_sweep, 1, True, None, ("n_1", "g2_1_1", "g2_1_2")),
+    "spectrum": _Command(_run_spectrum, 1, False, None, ()),
+    "time-delay": _Command(_run_time_delay, 2, False, 0, ()),  # reports guide 2
+    "broadband": _Command(_run_broadband, 2, True, 0, ()),  # reports guide 2
+    "entangle": _Command(_run_entangle, 2, True, None, _QUTRIT_OBS),  # n = 2 only
+    "calibrate": _Command(_run_calibrate, 1, True, 0, ()),
+    "oracle-check": _Command(_run_oracle_check, 2, False, 1, ()),  # n = 2 only
 }
 # Name -> runner: main calls through this map, whose values a tracer can rebind.
 SUBCOMMANDS = {name: row.run for name, row in _COMMANDS.items()}

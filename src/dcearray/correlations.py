@@ -51,7 +51,6 @@ class CorrelationSet:
     """
 
     intensities: np.ndarray      # N_i (thermal G1_i when temperature > 0)
-    n_thermal: float             # Bose occupation at omega_d / 2
     modes: np.ndarray            # c[n, i] of the spectrum
     pair: np.ndarray             # eps_n at T = 0, Im(u_n v_n) (1 + 2 N_T) at T > 0
     number: np.ndarray | None    # per-mode occupation at T > 0; None at T = 0
@@ -86,7 +85,7 @@ def pair_amplitude(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarr
     return _pair_sum(modes.eps, spectrum.modes)
 
 
-def _normalized(g1, n_thermal, spectrum, pair, number=None) -> CorrelationSet:
+def _normalized(g1, spectrum, pair, number=None) -> CorrelationSet:
     """The CorrelationSet of intensities g1; g2 is undefined where one vanishes."""
     errors = point_errors(
         np.any(g1 == 0.0, axis=-1),
@@ -94,14 +93,14 @@ def _normalized(g1, n_thermal, spectrum, pair, number=None) -> CorrelationSet:
             "some waveguide emits no photons; normalized g2 is undefined"
         ),
     )
-    return CorrelationSet(g1, n_thermal, spectrum.modes, pair, number, errors)
+    return CorrelationSet(g1, spectrum.modes, pair, number, errors)
 
 
 def g2_zero_temperature(
     modes: ModeResponse, spectrum: LaplacianSpectrum
 ) -> CorrelationSet:
     """Leading-order vacuum-input correlations, g2_ij = M_ij^2 / sqrt(N_i N_j)."""
-    return _normalized(intensities(modes, spectrum), 0.0, spectrum, modes.eps)
+    return _normalized(intensities(modes, spectrum), spectrum, modes.eps)
 
 
 def g2_thermal(
@@ -118,9 +117,9 @@ def g2_thermal(
     u_n v_n (1 + 2 N_T) are imaginary, so |<a_i a_j>| is the pair sum of
     their imaginary parts.
     """
-    n_t, occ, pair = _mode_moments(modes, temperature)
+    occ, pair = _mode_moments(modes, temperature)
     g1 = occ @ spectrum.modes**2
-    return _normalized(g1, n_t, spectrum, pair.imag, occ)
+    return _normalized(g1, spectrum, pair.imag, occ)
 
 
 def cauchy_schwarz_violation(corr: CorrelationSet, i: int, j: int):

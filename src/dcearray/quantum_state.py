@@ -95,7 +95,7 @@ def _pair_sum(weights, c, rows=slice(None), cols=slice(None)) -> np.ndarray:
 
 
 def _mode_moments(modes: ModeResponse, temperature: float) -> tuple:
-    """N_T at w_d / 2, and the occupation and pair amplitude of each output mode.
+    """The occupation and pair amplitude of each output mode.
 
     N_T + |v_n|^2 (1 + 2 N_T) and u_n v_n (1 + 2 N_T), u_n = sqrt(1 + eps_n^2),
     v_n = -i eps_n, with N_T = thermal_occupation(w_d / 2, temperature).
@@ -104,7 +104,7 @@ def _mode_moments(modes: ModeResponse, temperature: float) -> tuple:
     u = np.sqrt(1.0 + modes.eps**2)
     v = -1j * modes.eps
     occ = n_t + np.abs(v) ** 2 * (1.0 + 2.0 * n_t)
-    return n_t, occ, u * v * (1.0 + 2.0 * n_t)
+    return occ, u * v * (1.0 + 2.0 * n_t)
 
 
 def _hermite_step(k: tuple) -> tuple:
@@ -181,7 +181,7 @@ def output_gaussian(
     modes: ModeResponse, spectrum: LaplacianSpectrum, temperature: float = 0.0
 ) -> GaussianOutputState:
     """Exact Gaussian description of the emitted field at the band centre."""
-    _, occ, pair = _mode_moments(modes, temperature)
+    occ, pair = _mode_moments(modes, temperature)
     return GaussianOutputState(
         number=_pair_sum(occ, spectrum.modes).astype(complex),
         anomalous=_pair_sum(pair, spectrum.modes),

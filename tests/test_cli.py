@@ -2,7 +2,10 @@ import math
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -12,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcearray import oracle
-from dcearray.cli import CONFIG_KEYS, SUBCOMMANDS, main, parse_config, run_sweep
+from dcearray.cli import (
+    _COMMANDS, CONFIG_KEYS, SUBCOMMANDS, main, parse_config, run_sweep,
+)
 from dcearray.errors import MissingRequired, RangeError, UnknownKey
 
 MINIMAL = "target_occupancy = 0.1\n"
@@ -373,20 +378,24 @@ def test_flags_may_come_before_the_command(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_workers_env_does_not_change_output(tmp_path, monkeypatch):
-    args = [
-        "sweep",
-        "--target-occupancy", "0.1",
-        "--theta-steps", "30",
-        "--temperature-mk", "0,25",
+def test_workers_env_does_not_change_output():
+    """An n = 2 sweep writes the same bytes at one and at two BLAS threads.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads, so each run
+    is a fresh interpreter (as in test_threads.py).
+    """
+    args = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "30",
+            "--temperature-mk", "0,25"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "dcearray.cli", *args],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
     ]
-    out1 = tmp_path / "serial.csv"
-    monkeypatch.setenv("DCE_WORKERS", "1")
-    assert main(args + ["--out", str(out1)]) == 0
-    out4 = tmp_path / "parallel.csv"
-    monkeypatch.setenv("DCE_WORKERS", "4")
-    assert main(args + ["--out", str(out4)]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
+    assert outputs[0].startswith(b"# theta,") and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -522,11 +531,40 @@ def test_failed_grid_points_share_one_status_format(args, rows, tmp_path):
 @pytest.mark.parametrize(
     "command, n, message",
     [("time-delay", "1", "n >= 2"), ("broadband", "1", "n >= 2"),
-     ("sweep", "0", "n >= 1")],
+     ("sweep", "0", "n >= 1"), ("entangle", "1", "n >= 2"),
+     ("oracle-check", "1", "n >= 2")],
 )
 def test_subcommand_guide_count_checked_first(command, n, message, capsys):
     assert main([command, "--target-occupancy", "0.1", "--n", n]) == 1
     assert f"{command} needs {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_subcommand_runs_at_its_least_n(command, capsys):
+    # the observables a command does not read are not checked against n; one
+    # angle is a one-point grid, and at n = 1 theta = 1 drives the guide
+    args = [command, "--n", str(_COMMANDS[command].min_n), "--theta-rad", "1",
+            "--target-occupancy", "0.1"]
+    if command == "sweep":
+        args += ["--observables", "n_1"]
+    assert main(args) == 0
+    assert "# status: ok" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["calibrate", "--n", "1", "--theta-rad", "0", "--target-occupancy", "0.1"],
+        ["sweep", "--n", "1", "--observables", "n_1", "--theta-start", "0",
+         "--theta-end", "0", "--theta-steps", "2", "--target-occupancy", "0.1"],
+    ],
+    ids=["calibrate", "sweep"],
+)
+def test_calibration_without_response_fails_cleanly(args, capsys):
+    # one guide at theta = 0 has no modulation, so no da0 meets the target
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no grid point produces a nonzero response\n"
 
 
 @pytest.mark.parametrize(
@@ -1089,8 +1127,6 @@ def test_readme_key_table_names_every_config_key():
 
 
 def test_readme_subcommand_table_mirrors_the_rows():
-    from dcearray.cli import _COMMANDS
-
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n| subcommand |", 1)[1].split("\n\n")[0]
     rows = [[c.strip() for c in row.split("|")[1:-1]] for row in table.splitlines()[2:]]

@@ -16,6 +16,7 @@ from dcearray.correlations import (
 from dcearray.drive import DriveParams, LineParams, mode_response
 from dcearray.errors import AsymmetricModes, ZeroIntensity
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
+from dcearray.quantum_state import thermal_occupation
 
 LINE = LineParams(z0=55.0, v=1.2e8)
 OMEGA_D = 2.0 * math.pi * 10.3e9
@@ -132,9 +133,12 @@ def test_thermal_matches_vacuum_at_small_eps():
 
 
 def test_thermal_occupation_value():
-    modes = modes_at(math.pi / 4.0, 1.1)
+    # without modulation every guide emits the thermal occupation N_T alone
+    modes = modes_at(math.pi / 4.0, 1.1, da0=0.0)
+    n_t = thermal_occupation(modes.omega_d / 2.0, 0.025)
+    assert n_t == pytest.approx(5.1e-5, rel=0.05)
     corr = g2_thermal(modes, SPEC2, 0.025)
-    assert corr.n_thermal == pytest.approx(5.1e-5, rel=0.05)
+    np.testing.assert_allclose(corr.intensities, n_t, rtol=1e-12)
 
 
 def test_thermal_curves_deform_continuously():
