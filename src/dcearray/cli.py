@@ -36,6 +36,7 @@ from .errors import (
     RangeError,
     RingTooSmall,
     UnknownKey,
+    with_errors,
 )
 from .lattice import ArrayTopology, build_laplacian, eigendecompose
 from .quantum_state import (
@@ -74,12 +75,12 @@ def _qutrit_state(modes, spectrum, temperature):
 
 # The observable grammar: a token is a name and one ``_<guide>`` (1-based) per
 # index.  Name -> (index count, state it reads, value from state and 0-based
-# indices).  States and values cover a batch of points at once.  The values
-# call the library through this module's names, so a wrapper bound over one
-# of them (as the bench tracer does) sees each call.
+# indices), over a batch of points; a value holds each failed point's error in
+# its cell (the state's first), and an ``n`` cell holds none.  Values call the
+# library by this module's names, so a wrapper bound over one sees each call.
 _OBSERVABLES = {
     "n": (1, _correlations, lambda corr, i: corr.intensities[..., i]),
-    "g2": (2, _correlations, lambda corr, i, j: corr.g2(i, j)),
+    "g2": (2, _correlations, lambda corr, i, j: with_errors(corr.g2(i, j), corr.errors)),
     "cs_violation": (
         2, _correlations, lambda corr, i, j: cauchy_schwarz_violation(corr, i, j)
     ),
@@ -331,10 +332,10 @@ def _table(header: str, *columns) -> list:
 def _point_values(specs, modes, spectrum, temperature):
     """Float columns, failures by point and qutrit state of the tokens ``specs``.
 
-    A state is built when a token first reads it.  A failed point keeps its
-    first error in token order, the state's before the value's: the error a
-    point evaluation raises.  A ``with_errors`` column is split into floats,
-    and a value that is inf or nan fails its point with NonFinite.
+    A state is built when a token first reads it.  A point fails only through
+    its tokens' cells, on the first error in token order: an error cell of a
+    ``with_errors`` column, which is split into floats, or a value that is inf
+    or nan (NonFinite).  An ``n_i`` cell holds no error.
     """
     states = {}
     columns = []
@@ -342,7 +343,6 @@ def _point_values(specs, modes, spectrum, temperature):
     for state, value, indices in specs:
         if state not in states:
             states[state] = state(modes, spectrum, temperature)
-            failed = {**states[state].errors, **failed}
         column = value(states[state], *indices)
         if column.dtype == object:  # errors in the cells of failed points
             bad = [k for k, c in enumerate(column) if isinstance(c, DceArrayError)]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dcearray import oracle
 from dcearray.cli import (
-    _COMMANDS, CONFIG_KEYS, SUBCOMMANDS, main, parse_config, run_sweep,
+    _COMMANDS, _OBSERVABLES, CONFIG_KEYS, SUBCOMMANDS, main, parse_config, run_sweep,
 )
 from dcearray.errors import MissingRequired, RangeError, UnknownKey
 
@@ -151,11 +151,14 @@ def test_cli_exit_code_on_partial_failure(tmp_path):
     "observables, message",
     [
         ("entropy,n_1", "no pair amplitude; nothing to post-select"),
-        ("n_1,entropy", "some waveguide emits no photons"),
+        ("n_1,g2_1_1,entropy", "some waveguide emits no photons"),
     ],
+    ids=["entropy,n_1-no pair amplitude; nothing to post-select",
+         "n_1,entropy-some waveguide emits no photons"],
 )
 def test_first_token_decides_the_error_cell(observables, message, tmp_path):
-    # both states fail at da0 = 0; the one the first token reads is built first
+    # both states fail at da0 = 0, and n_1 has no error cell: the first token
+    # with one decides
     out = tmp_path / "partial.csv"
     args = ["sweep", "--da0-joule", "0", "--theta-steps", "2",
             "--observables", observables, "--out", str(out)]
@@ -163,6 +166,74 @@ def test_first_token_decides_the_error_cell(observables, message, tmp_path):
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 2
     assert all(message in row for row in rows)
+
+
+_G2_UNDEFINED = (
+    "ZeroIntensity: some waveguide emits no photons; normalized g2 is undefined"
+)
+_NO_PAIR = "ZeroIntensity: no pair amplitude; nothing to post-select"
+
+
+@pytest.mark.parametrize(
+    "observables, code, row",
+    [("n_1", 0, "0,0.78539816339744828,0,0,"),
+     ("n_1,g2_1_1", 2, "0,0.78539816339744828,0,,," + _G2_UNDEFINED)],
+    ids=["intensity", "intensity-and-g2"],
+)
+def test_a_dark_guide_reads_zero_and_fails_its_g2(observables, code, row, capsys):
+    # at theta = 0 the one guide emits nothing: N_1 = 0 is a value, g2_1_1 is not
+    args = ["sweep", "--n", "1", "--da0-joule", "1e-25", "--theta-steps", "3",
+            "--observables", observables]
+    assert main(args) == code
+    assert capsys.readouterr().out.splitlines()[1] == row
+
+
+def test_intensities_of_an_undriven_array_are_zero(capsys):
+    args = ["sweep", "--da0-joule", "0", "--theta-steps", "3",
+            "--observables", "n_1,n_2"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[3:] for row in lines[1:-1]] == [["0", "0", ""]] * 3
+    assert lines[-1] == "# status: ok"
+
+
+# Token name -> (the run that prints it alone, its cell at a dark point: da0 = 0
+# and T = 0).  A token that lands in _OBSERVABLES states its dark cell here.
+_DARK_CELLS = {
+    "n": (["sweep", "--observables", "n_1"], "0"),
+    "g2": (["sweep", "--observables", "g2_1_2"], _G2_UNDEFINED),
+    "cs_violation": (["sweep", "--observables", "cs_violation_1_2"], _G2_UNDEFINED),
+    "entropy": (["sweep", "--observables", "entropy"], _NO_PAIR),
+    "f_noon": (["sweep", "--observables", "f_noon"], _NO_PAIR),
+    "f_eq10": (["sweep", "--observables", "f_eq10"], _NO_PAIR),
+    "g2bb": (["broadband"], _G2_UNDEFINED),  # both of broadband's columns
+}
+
+
+def test_dark_cells_cover_every_token():
+    assert _DARK_CELLS.keys() == {*_OBSERVABLES, "g2bb"}
+
+
+@pytest.mark.parametrize(
+    "name, temperature_mk",
+    # broadband reads no temperature
+    [*((name, "0") for name in [*_OBSERVABLES, "g2bb"]),
+     *((name, "25") for name in _OBSERVABLES)],
+)
+def test_every_token_states_its_dark_point_cell(name, temperature_mk, capsys):
+    # da0 = 0 drives nothing: each intensity is 0 at T = 0 and N_T above it
+    args, dark = _DARK_CELLS[name]
+    code = main([*args, "--n", "2", "--da0-joule", "0", "--theta-rad", "1",
+                 "--temperature-mk", temperature_mk])
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    *cells, error = row[1 if args[0] == "broadband" else 3:]
+    if temperature_mk == "0" and dark != "0":
+        assert (code, cells, error) == (2, [""] * len(cells), dark)
+        return
+    assert (code, error) == (0, "")
+    assert all(math.isfinite(float(cell)) for cell in cells)
+    if temperature_mk == "0":
+        assert cells == [dark]
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -792,11 +863,12 @@ def test_batched_grid_matches_point_evaluation(config, failed):
 def _cell_by_cell_lines(cfg):
     """run_sweep's lines built one row and one cell at a time, as a reference.
 
-    Each token's batch column carries its state's errors in their cells
-    (``with_errors``); a row fails on its first error cell in token order.
+    Each token's batch column is taken as its value returns it, failed points
+    holding their errors (``with_errors``); a row fails on its first error
+    cell in token order.
     """
     from dcearray.cli import _observable, _prepare
-    from dcearray.errors import DceArrayError, with_errors
+    from dcearray.errors import DceArrayError
 
     spectrum, _, modes = _prepare(cfg)
     header = ["theta", "phi", "temperature_mk", *cfg.observables, "error"]
@@ -808,7 +880,7 @@ def _cell_by_cell_lines(cfg):
             if state not in states:
                 states[state] = state(modes, spectrum, temp)
             column = value(states[state], *indices)
-            columns.append(with_errors(column, states[state].errors).tolist())
+            columns.append(column.tolist())
         for theta, cells in zip(cfg.drive.theta.tolist(), zip(*columns)):
             row = ["%.17g" % theta, "%.17g" % cfg.drive.phi, "%.17g" % (temp * 1e3)]
             error = next((c for c in cells if isinstance(c, DceArrayError)), None)
@@ -834,12 +906,13 @@ def _cell_by_cell_lines(cfg):
         (MINIMAL + "n = 1\ntheta_start = -1\ntheta_end = 1\ntheta_steps = 5\n"
          "temperature_mk = 0,25\nobservables = n_1,g2_1_1\n",
          ["", "", "ZeroIntensity: some waveguide emits no photons"] + [""] * 7),
-        # both states fail in the cold batch: the first token's state decides
+        # both states fail in the cold batch: the first token with an error
+        # cell decides, and n_1 has none
         ("da0_joule = 0\ntheta_steps = 3\ntemperature_mk = 0,25\n"
          "observables = entropy,n_1,g2_1_2\n",
          ["ZeroIntensity: no pair amplitude"] * 3 + [""] * 3),
         ("da0_joule = 0\ntheta_steps = 3\ntemperature_mk = 0,25\n"
-         "observables = n_1,entropy,g2_1_2\n",
+         "observables = n_1,g2_1_2,entropy\n",
          ["ZeroIntensity: some waveguide emits no photons"] * 3 + [""] * 3),
     ],
     ids=["asymmetric", "one-failed-row", "qutrit-first", "intensity-first"],
