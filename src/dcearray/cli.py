@@ -322,11 +322,11 @@ def _finite(values, what: str):
 
 
 def _table(header: str, *columns) -> list:
-    """CSV lines of a float table: header, rows by one ``%`` per table, status line."""
+    """CSV chunks of a float table: header, rows by one ``%`` per table, status line."""
     cells = _finite(np.column_stack(columns), f"a value of {header}")
-    row = ",".join(["%.17g"] * len(columns))  # as _fmt
-    body = "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
-    return ["# " + header, *body.split("\n"), "# status: ok"]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"  # as _fmt
+    return ["# " + header + "\n", row * len(cells) % tuple(cells.ravel().tolist()),
+            "# status: ok\n"]
 
 
 def _point_values(specs, modes, spectrum, temperature):
@@ -358,14 +358,16 @@ def _point_values(specs, modes, spectrum, temperature):
 
 
 def _tabulate(lead_columns, value_columns, thetas, batches) -> tuple:
-    """CSV lines of a grid: header, one row per point, status line.
+    """CSV chunks of a grid: header, one chunk per batch, status line.
 
     A batch (lead, columns, failed) gives each theta a row of the cells
     ``lead`` and the columns of _point_values, by one ``%`` over a row
-    template per point; a failed row's value cells stay empty and its error's
-    message fills the trailing error column.  Returns (lines, n_failures).
+    template per point; a failed row's template leaves its value cells empty
+    and holds its error's message (``%`` escaped) in the trailing error
+    column.  Returns (chunks, n_failures): each chunk ends in a newline, and
+    joined they are the CSV.
     """
-    lines = ["# " + ",".join([*lead_columns, *value_columns, "error"])]
+    chunks = ["# " + ",".join([*lead_columns, *value_columns, "error"]) + "\n"]
     thetas = [_fmt(theta) for theta in thetas.tolist()]  # shared by the batches
     width = len(value_columns) + 1
     cells = [None] * (len(thetas) * width)
@@ -373,19 +375,21 @@ def _tabulate(lead_columns, value_columns, thetas, batches) -> tuple:
     for lead, columns, failed in batches:
         for c, column in enumerate(columns, start=1):
             cells[c::width] = column.tolist()
-        row = "%s" + lead + ",%.17g" * len(columns) + ","  # as _fmt
-        rows = ("\n".join([row] * len(thetas)) % tuple(cells)).split("\n")
+        rows = ["%s" + lead + ",%.17g" * len(columns) + ",\n"] * len(thetas)  # as _fmt
         for k, error in failed.items():
-            rows[k] = f"{thetas[k]}{lead}{',' * width}{type(error).__name__}: {error}"
-        lines.extend(rows)
+            message = f"{type(error).__name__}: {error}".replace("%", "%%")
+            rows[k] = "%s" + lead + "," * width + message + "\n"
+            cells[k * width + 1:(k + 1) * width] = [None] * len(columns)
+        values = (c for c in cells if c is not None) if failed else cells
+        chunks.append("".join(rows) % tuple(values))
     failures = sum(len(failed) for _, _, failed in batches)
-    status = f"partial ({failures} of {len(lines) - 1} points failed)"
-    lines.append(f"# status: {status if failures else 'ok'}")
-    return lines, failures
+    status = f"partial ({failures} of {len(thetas) * len(batches)} points failed)"
+    chunks.append(f"# status: {status if failures else 'ok'}\n")
+    return chunks, failures
 
 
 def _sweep(config: RunConfig) -> tuple:
-    """run_sweep's lines and failures, and the qutrit state of the first point.
+    """run_sweep's chunks and failures, and the qutrit state of the first point.
 
     The grid runs one batch over the theta array per temperature; the state
     is None when the first point failed or no token reads it.
@@ -399,32 +403,40 @@ def _sweep(config: RunConfig) -> tuple:
         if not batches and tdm is not None and 0 not in failed:
             first = tdm.rho[0]
         batches.append((f",{_fmt(drive.phi)},{_fmt(temp * 1e3)}", columns, failed))
-    lines, failures = _tabulate(
+    chunks, failures = _tabulate(
         ("theta", "phi", "temperature_mk"), config.observables, drive.theta, batches
     )
-    return lines, failures, first
+    return chunks, failures, first
 
 
 def run_sweep(config: RunConfig) -> tuple:
-    """Evaluate the (theta, temperature) grid; returns (lines, n_failures).
+    """Evaluate the (theta, temperature) grid; returns (chunks, n_failures).
 
-    One row per grid point ordered by index, observables per the config;
-    failed points leave their cells empty and carry the error message in the
-    trailing error column.
+    ``chunks`` is a list of str, each ending in a newline, that joined give
+    the CSV: the header line, one chunk of rows per temperature, the status
+    line.  One row per grid point ordered by index, observables per the
+    config; failed points leave their cells empty and carry the error
+    message in the trailing error column.
     """
-    lines, failures, _ = _sweep(config)
-    return lines, failures
+    chunks, failures, _ = _sweep(config)
+    return chunks, failures
 
 
 def _run_spectrum(config: RunConfig) -> tuple:
-    """Photon flux spectral density of waveguide 1 over (0, omega_d)."""
+    """Photon flux spectral density of waveguide 1 over (0, omega_d), a chunk per T."""
     spectrum, drive, modes = _prepare(config)
     omegas = omega_grid(drive.omega_d)
     temps = config.temperatures
     flux = [photon_flux_density(0, omegas, modes, spectrum, temp) for temp in temps]
-    temps_mk = np.repeat(np.array(temps) * 1e3, len(omegas))
     header = "omega_rad_s,temperature_mk,flux_1"
-    return _table(header, np.tile(omegas, len(temps)), temps_mk, np.concatenate(flux)), 0
+    _finite(np.concatenate([omegas, np.array(temps) * 1e3, *flux]), f"a value of {header}")
+    cells = [None] * (2 * len(omegas))
+    cells[::2] = [_fmt(omega) for omega in omegas.tolist()]  # shared by the chunks
+    chunks = ["# " + header + "\n"]
+    for temp, column in zip(temps, flux):
+        cells[1::2] = column.tolist()
+        chunks.append(("%s," + _fmt(temp * 1e3) + ",%.17g\n") * len(omegas) % tuple(cells))
+    return [*chunks, "# status: ok\n"], 0
 
 
 def _run_time_delay(config: RunConfig) -> tuple:
@@ -451,11 +463,11 @@ def _run_entangle(config: RunConfig) -> tuple:
 
     The dump reuses the state of the first row; a failed point has none.
     """
-    lines, failures, rho = _sweep(config)
+    chunks, failures, rho = _sweep(config)
     if config.single_theta and rho is not None:
-        lines.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns")
-        lines.extend(",".join(map(_fmt, row)) for row in rho.view(float).tolist())
-    return lines, failures
+        rows = "".join(",".join(map(_fmt, row)) + "\n" for row in rho.view(float).tolist())
+        chunks.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns\n" + rows)
+    return chunks, failures
 
 
 def _run_calibrate(config: RunConfig) -> tuple:
@@ -544,11 +556,15 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _write(path: str, payload: str, mode: str) -> None:
-    """Write ``payload`` to the ``out`` file; any OSError is a ConfigError."""
+def _write(path: str, chunks: list, mode: str) -> None:
+    """Write ``chunks`` to the ``out`` file; any OSError is a ConfigError.
+
+    ``chunks`` is a runner's list of str, each ending in a newline; they go
+    out one at a time, so the file's text is never joined into one string.
+    """
     try:
         with open(path, mode, encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write out={path!r}: {exc.strerror}") from None
 
@@ -579,14 +595,13 @@ def main(argv=None) -> int:
             # Append mode finds an unwritable out before the compute and keeps
             # an existing file; a new one goes, so a failed run leaves none.
             existed = os.path.exists(config.out)
-            _write(config.out, "", "a")
+            _write(config.out, [], "a")
             if not existed:
                 os.remove(config.out)
         with np.errstate(all="ignore"):  # non-finite results fail their points or the run
-            lines, failures = SUBCOMMANDS[args.command](config)
-        payload = "\n".join(lines) + "\n"
+            chunks, failures = SUBCOMMANDS[args.command](config)
         if config.out:
-            _write(config.out, payload, "w")
+            _write(config.out, chunks, "w")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -596,7 +611,7 @@ def main(argv=None) -> int:
 
     if not config.out:
         try:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(chunks)
         except BrokenPipeError:
             pass
     return 2 if failures else 0

@@ -23,6 +23,12 @@ from dcearray.errors import MissingRequired, RangeError, UnknownKey
 MINIMAL = "target_occupancy = 0.1\n"
 
 
+def _sweep_lines(cfg):
+    """run_sweep's CSV as lines, and its failure count."""
+    chunks, failures = run_sweep(cfg)
+    return "".join(chunks).splitlines(), failures
+
+
 def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.topology.n == 2
@@ -90,7 +96,7 @@ def test_overrides_layer_on_file():
 
 def test_sweep_emits_header_rows_and_status():
     cfg = parse_config(MINIMAL + "theta_steps = 5\ntemperature_mk = 0,25\n")
-    lines, failures = run_sweep(cfg)
+    lines, failures = _sweep_lines(cfg)
     assert failures == 0
     assert lines[0].startswith("# theta,phi,temperature_mk,")
     assert lines[-1] == "# status: ok"
@@ -102,7 +108,7 @@ def test_sweep_rows_record_failures_without_aborting():
     cfg = parse_config(
         "da0_joule = 0\ntheta_steps = 3\n"
     )
-    lines, failures = run_sweep(cfg)
+    lines, failures = _sweep_lines(cfg)
     assert failures == 3
     assert lines[-1].startswith("# status: partial")
     assert "ZeroIntensity" in lines[1]
@@ -110,7 +116,7 @@ def test_sweep_rows_record_failures_without_aborting():
 
 def test_sum_rule_in_sweep_output():
     cfg = parse_config(MINIMAL + "theta_steps = 40\n")
-    lines, _ = run_sweep(cfg)
+    lines, _ = _sweep_lines(cfg)
     for row in lines[1:-1]:
         cells = row.split(",")
         g11, g12 = float(cells[4]), float(cells[5])
@@ -837,7 +843,7 @@ def test_batched_grid_matches_point_evaluation(config, failed):
 
     cfg = parse_config(config)
     spectrum, drive, _ = _prepare(cfg)
-    lines, failures = run_sweep(cfg)
+    lines, failures = _sweep_lines(cfg)
     assert failures == failed
     rows = [line.split(",") for line in lines[1:-1]]
     points = [(t, theta) for t in cfg.temperatures for theta in cfg.drive.theta.tolist()]
@@ -919,12 +925,41 @@ def _cell_by_cell_lines(cfg):
 )
 def test_batch_rows_match_cell_by_cell_formatting(config, errors):
     cfg = parse_config(config)
-    lines, failures = run_sweep(cfg)
+    lines, failures = _sweep_lines(cfg)
     assert lines == _cell_by_cell_lines(cfg)
     assert failures == sum(map(bool, errors))
     for row, error in zip(lines[1:-1], errors, strict=True):
         cell = row.rsplit(",", 1)[1]
         assert cell.startswith(error) and bool(cell) == bool(error)
+
+
+def test_a_failed_row_prints_its_message_verbatim():
+    # a "%" in an error message is text, not a directive of the batch's template
+    from dcearray.cli import _tabulate
+    from dcearray.errors import NonFinite
+
+    thetas = np.array([0.25, 0.5, 0.75])
+    cold = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])]
+    warm = [np.array([7.0, 8.0, 9.0]), np.array([0.1, 0.2, 0.3])]
+    error = NonFinite("100% of %s and %.17g cells")
+    ok, _ = _tabulate(("theta",), ("a", "b"), thetas, [(",0", cold, {}), (",25", warm, {})])
+    chunks, failures = _tabulate(
+        ("theta",), ("a", "b"), thetas, [(",0", cold, {1: error}), (",25", warm, {})]
+    )
+    lines, reference = "".join(chunks).splitlines(), "".join(ok).splitlines()
+    assert failures == 1
+    assert lines[2] == "0.5,0,,,NonFinite: 100% of %s and %.17g cells"
+    assert lines[:2] + lines[3:-1] == reference[:2] + reference[3:-1]
+    assert lines[-1] == "# status: partial (1 of 6 points failed)"
+
+
+def test_sweep_returns_one_chunk_per_temperature():
+    cfg = parse_config(MINIMAL + "theta_steps = 1500\ntemperature_mk = 0,25,40\n")
+    chunks, failures = run_sweep(cfg)
+    assert failures == 0
+    assert len(chunks) == 1 + 3 + 1
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert [chunk.count("\n") for chunk in chunks] == [1, 1500, 1500, 1500, 1]
 
 
 def _calibrated_point(topology, theta, target):

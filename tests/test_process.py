@@ -43,16 +43,22 @@ def test_only_the_cli_freezes_the_heap_it_imports():
     "args, code",
     [
         # 467 KB, more than a pipe buffer holds
-        (["--target-occupancy", "0.1", "--theta-steps", "1500",
+        (["sweep", "--target-occupancy", "0.1", "--theta-steps", "1500",
           "--temperature-mk", "0,25,40"], 0),
         # every 0 K point fails, so the run is partial
-        (["--da0-joule", "0", "--temperature-mk", "0,25", "--theta-steps", "5"], 2),
+        (["sweep", "--da0-joule", "0", "--temperature-mk", "0,25", "--theta-steps", "5"], 2),
+        # the rho dump follows the status line
+        (["entangle", "--target-occupancy", "0.3", "--theta-rad", "1.3",
+          "--temperature-mk", "40"], 0),
+        # one chunk of rows per temperature
+        (["spectrum", "--target-occupancy", "0.1", "--theta-rad", "1.1",
+          "--temperature-mk", "0,25"], 0),
     ],
 )
 def test_stdout_carries_the_out_file_bytes_and_the_exit_code(args, code, tmp_path):
-    command = ["-m", "dcearray.cli", "sweep", *args]
+    command = ["-m", "dcearray.cli", *args]
     run = _python(command, check=False)
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "run.csv"
     to_file = _python([*command, "--out", str(out)], check=False)
     assert (run.returncode, to_file.returncode) == (code, code)
     assert to_file.stdout == b""
