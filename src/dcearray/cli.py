@@ -99,9 +99,8 @@ class RunConfig:
     topology: ArrayTopology
     drive: DriveParams        # theta is the grid, or the one angle the command reads
     target_occupancy: float | None  # calibrates drive.da0 when set
-    single_theta: bool
     line: LineParams
-    temperatures: tuple       # K
+    temperatures: tuple       # mK, as given; runners pass t * 1e-3 K to the library
     observables: tuple        # validated header tokens
     out: str | None           # output path, None for stdout
 
@@ -147,8 +146,8 @@ def _topology(key: str, raw: str):
 
 
 def _temperatures(key: str, raw: str) -> tuple:
-    """Comma-separated millikelvin, in kelvin."""
-    return tuple(_NON_NEGATIVE(key, tok.strip()) * 1e-3 for tok in raw.split(","))
+    """Comma-separated millikelvin, as given."""
+    return tuple(_NON_NEGATIVE(key, tok.strip()) for tok in raw.split(","))
 
 
 def _tokens(key: str, raw: str) -> tuple:
@@ -183,7 +182,6 @@ CONFIG_KEYS = {
     "theta_steps": ("200", _number(int, "be at least 1", lambda x: x >= 1)),
     "omega_d_rad_s": (repr(2.0 * math.pi * 10.3e9), _POSITIVE),
     "z0_ohm": ("55", _POSITIVE),
-    "v_m_s": ("1.2e8", _POSITIVE),
     "temperature_mk": ("0", _temperatures),
     "observables": (None, _tokens),
     "out": (None, _out),
@@ -243,8 +241,7 @@ def parse_config(
     if da0 is None and target is None:
         raise MissingRequired("one of da0_joule or target_occupancy is required")
 
-    single = "theta_rad" in given
-    if single:
+    if "theta_rad" in given:
         if given.keys() & {"theta_start", "theta_end", "theta_steps"}:
             raise RangeError("theta_rad excludes theta_start/theta_end/theta_steps")
         thetas = np.array([values["theta_rad"]])
@@ -288,8 +285,7 @@ def parse_config(
         topology=topology,
         drive=drive,
         target_occupancy=target,
-        single_theta=single,
-        line=LineParams(z0=values["z0_ohm"], v=values["v_m_s"]),
+        line=LineParams(z0=values["z0_ohm"], v=1.2e8),  # v cancels from every output
         temperatures=temps,
         observables=observables,
         out=values.get("out"),
@@ -399,10 +395,10 @@ def _sweep(config: RunConfig) -> tuple:
     batches = []
     first = None
     for temp in config.temperatures:
-        columns, failed, tdm = _point_values(specs, modes, spectrum, temp)
+        columns, failed, tdm = _point_values(specs, modes, spectrum, temp * 1e-3)
         if not batches and tdm is not None and 0 not in failed:
             first = tdm.rho[0]
-        batches.append((f",{_fmt(drive.phi)},{_fmt(temp * 1e3)}", columns, failed))
+        batches.append((f",{_fmt(drive.phi)},{_fmt(temp)}", columns, failed))
     chunks, failures = _tabulate(
         ("theta", "phi", "temperature_mk"), config.observables, drive.theta, batches
     )
@@ -427,15 +423,15 @@ def _run_spectrum(config: RunConfig) -> tuple:
     spectrum, drive, modes = _prepare(config)
     omegas = omega_grid(drive.omega_d)
     temps = config.temperatures
-    flux = [photon_flux_density(0, omegas, modes, spectrum, temp) for temp in temps]
+    flux = [photon_flux_density(0, omegas, modes, spectrum, t * 1e-3) for t in temps]
     header = "omega_rad_s,temperature_mk,flux_1"
-    _finite(np.concatenate([omegas, np.array(temps) * 1e3, *flux]), f"a value of {header}")
+    _finite(np.concatenate([omegas, *flux]), f"a value of {header}")
     cells = [None] * (2 * len(omegas))
     cells[::2] = [_fmt(omega) for omega in omegas.tolist()]  # shared by the chunks
     chunks = ["# " + header + "\n"]
     for temp, column in zip(temps, flux):
         cells[1::2] = column.tolist()
-        chunks.append(("%s," + _fmt(temp * 1e3) + ",%.17g\n") * len(omegas) % tuple(cells))
+        chunks.append(("%s," + _fmt(temp) + ",%.17g\n") * len(omegas) % tuple(cells))
     return [*chunks, "# status: ok\n"], 0
 
 
@@ -459,12 +455,13 @@ def _run_broadband(config: RunConfig) -> tuple:
 
 
 def _run_entangle(config: RunConfig) -> tuple:
-    """Entropy and fidelities over the grid; single-theta runs also dump rho.
+    """Entropy and fidelities over the grid; a run over one theta also dumps rho.
 
-    The dump reuses the state of the first row; a failed point has none.
+    One theta is ``theta_rad`` or a one-step grid.  The dump reuses the state
+    of the first row; a failed point has none.
     """
     chunks, failures, rho = _sweep(config)
-    if config.single_theta and rho is not None:
+    if config.drive.theta.size == 1 and rho is not None:
         rows = "".join(",".join(map(_fmt, row)) + "\n" for row in rho.view(float).tolist())
         chunks.append("# rho: rows |n1 n2>, re/im pairs for the 9 columns\n" + rows)
     return chunks, failures
@@ -486,7 +483,7 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     """Compare Wick-path moments and rho against the per-mode Fock oracle."""
     spectrum, drive, modes = _prepare(config)
     _finite(modes.eps, "a mode amplitude")  # the oracle's squeeze needs finite ones
-    temp = config.temperatures[0]
+    temp = config.temperatures[0] * 1e-3
     state = output_gaussian(modes, spectrum, temp)
     n_t = thermal_occupation(drive.omega_d / 2.0, temp)
     for cutoff in _ORACLE_CUTOFFS:

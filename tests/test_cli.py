@@ -45,6 +45,18 @@ def test_unknown_key_is_hard_error():
         parse_config(MINIMAL, {"phii_rad": "0.5"})
 
 
+def test_phase_velocity_is_no_key(tmp_path, capsys):
+    # v cancels from every output, so the line's is fixed and no key sets it
+    config = tmp_path / "run.cfg"
+    config.write_text(MINIMAL + "v_m_s = 1e8\n")
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "config error: unknown configuration key 'v_m_s'\n"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--target-occupancy", "0.1", "--v-m-s", "1e8"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --v-m-s" in capsys.readouterr().err
+
+
 def test_da0_and_target_are_exclusive():
     with pytest.raises(RangeError):
         parse_config("da0_joule = 1e-26\ntarget_occupancy = 0.1\n")
@@ -91,7 +103,21 @@ def test_f_eq10_is_not_read_as_an_index():
 def test_overrides_layer_on_file():
     cfg = parse_config(MINIMAL, {"phi_rad": "0.9", "temperature_mk": "0,25"})
     assert cfg.drive.phi == pytest.approx(0.9)
-    assert cfg.temperatures == (0.0, 0.025)
+    assert cfg.temperatures == (0.0, 25.0)
+
+
+def test_temperature_cells_print_the_given_millikelvin(capsys):
+    # each value is printed as given, not through kelvin and back (9 -> 9)
+    temps = [str(t) for t in range(1001)]
+    args = ["sweep", "--da0-joule", "1e-25", "--theta-rad", "1", "--observables", "n_1",
+            "--temperature-mk", ",".join(temps)]
+    assert main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split(",")[2] for row in rows] == temps
+    args = ["spectrum", "--theta-rad", "1", "--da0-joule", "1e-25", "--temperature-mk", "0,9"]
+    assert main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert sorted({row.split(",")[1] for row in rows}) == ["0", "9"]
 
 
 def test_sweep_emits_header_rows_and_status():
@@ -850,9 +876,9 @@ def test_batched_grid_matches_point_evaluation(config, failed):
     assert len(rows) == len(points)
     messages = set()
     for row, (temp, theta) in zip(rows, points):
-        assert row[:3] == ["%.17g" % theta, "%.17g" % cfg.drive.phi, "%.17g" % (temp * 1e3)]
+        assert row[:3] == ["%.17g" % theta, "%.17g" % cfg.drive.phi, "%.17g" % temp]
         modes = mode_response(replace(drive, theta=theta), cfg.line, spectrum)
-        values, error = _point_cells(cfg.observables, modes, spectrum, temp)
+        values, error = _point_cells(cfg.observables, modes, spectrum, temp * 1e-3)
         assert row[-1] == error
         if values is None:
             assert row[3:-1] == [""] * len(cfg.observables)
@@ -884,11 +910,11 @@ def _cell_by_cell_lines(cfg):
         states, columns = {}, []
         for state, value, indices in map(_observable, cfg.observables):
             if state not in states:
-                states[state] = state(modes, spectrum, temp)
+                states[state] = state(modes, spectrum, temp * 1e-3)
             column = value(states[state], *indices)
             columns.append(column.tolist())
         for theta, cells in zip(cfg.drive.theta.tolist(), zip(*columns)):
-            row = ["%.17g" % theta, "%.17g" % cfg.drive.phi, "%.17g" % (temp * 1e3)]
+            row = ["%.17g" % theta, "%.17g" % cfg.drive.phi, "%.17g" % temp]
             error = next((c for c in cells if isinstance(c, DceArrayError)), None)
             if error is None:
                 row += ["%.17g" % c for c in cells] + [""]
@@ -985,9 +1011,8 @@ def _spectrum_lines(theta, temps_mk):
     omegas = omega_grid(modes.omega_d)
     lines = ["# omega_rad_s,temperature_mk,flux_1"]
     for t_mk in temps_mk:
-        temp = t_mk * 1e-3
-        flux = photon_flux_density(0, omegas, modes, spectrum, temp)
-        lines += ["%.17g,%.17g,%.17g" % (w, temp * 1e3, f) for w, f in zip(omegas, flux)]
+        flux = photon_flux_density(0, omegas, modes, spectrum, t_mk * 1e-3)
+        lines += ["%.17g,%.17g,%.17g" % (w, t_mk, f) for w, f in zip(omegas, flux)]
     return lines + ["# status: ok"]
 
 
@@ -1056,13 +1081,12 @@ def _entangle_lines(thetas, target, temps_mk):
     lines = ["# theta,phi,temperature_mk,entropy,f_noon,f_eq10,error"]
     first = None
     for t_mk in temps_mk:
-        temp = t_mk * 1e-3
-        tdm = density_matrix(output_gaussian(modes, spectrum, temp))
+        tdm = density_matrix(output_gaussian(modes, spectrum, t_mk * 1e-3))
         first = tdm.rho[0] if first is None else first
         values = (von_neumann_entropy(tdm), noon_fidelity(tdm),
                   maximally_entangled_fidelity(tdm))
         lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," % (theta, math.pi / 4.0,
-                                                           temp * 1e3, *cells)
+                                                           t_mk, *cells)
                   for theta, *cells in zip(thetas, *values)]
     lines.append("# status: ok")
     if len(thetas) == 1:  # a single-theta run dumps the rho of its row
@@ -1100,6 +1124,16 @@ def test_table_commands_match_library_calls(args, reference, tmp_path):
     assert out.read_bytes() == ("\n".join(reference()) + "\n").encode()
 
 
+def test_one_step_entangle_grid_dumps_rho_as_theta_rad(tmp_path):
+    # a grid of one theta is a run over one theta, rho dump included
+    base = ["entangle", "--target-occupancy", "0.1", "--temperature-mk", "25"]
+    grid, point = tmp_path / "grid.csv", tmp_path / "point.csv"
+    assert main([*base, "--theta-start", "1.3", "--theta-steps", "1", "--out", str(grid)]) == 0
+    assert main([*base, "--theta-rad", "1.3", "--out", str(point)]) == 0
+    assert "# rho: " in point.read_text()
+    assert grid.read_bytes() == point.read_bytes()
+
+
 # The values the fuzz draws per config key: (valid ones, ones that
 # parse_config rejects).  The one invalid out is a directory, so no run
 # writes a file.
@@ -1116,7 +1150,6 @@ FUZZ_VALUES = {
     "theta_steps": (["1", "2", "3", "5"], ["0", "2.5"]),
     "omega_d_rad_s": (["6.47e10", "3e10"], ["-1"]),
     "z0_ohm": (["50"], ["0"]),
-    "v_m_s": (["1e8"], ["-1"]),
     "temperature_mk": (["0", "25", "40", "0,25", "0,0"], ["-5", "25,"]),
     "observables": (["n_1", "n_1,g2_1_2", "g2_1_1,cs_violation_1_2", "entropy",
                      "f_noon,n_2", "n_1,f_eq10,g2_2_2"], ["g2_1_5", "bogus"]),
@@ -1144,7 +1177,6 @@ REJECTIONS = {
     ("theta_steps", "2.5"): "theta_steps='2.5' is not an integer",
     ("omega_d_rad_s", "-1"): "omega_d_rad_s must be positive, got -1.0",
     ("z0_ohm", "0"): "z0_ohm must be positive, got 0.0",
-    ("v_m_s", "-1"): "v_m_s must be positive, got -1.0",
     ("temperature_mk", "-5"): "temperature_mk must be non-negative, got -5.0",
     ("temperature_mk", "25,"): "temperature_mk='' is not a number",
     ("observables", "g2_1_5"): "observable 'g2_1_5' indexes outside 1..2",
@@ -1234,6 +1266,14 @@ def test_readme_key_table_names_every_config_key():
     assert named == list(CONFIG_KEYS)
 
 
+def test_readme_names_every_observable_token():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("\nObservable tokens:", 1)[1].split("\n\n")[0]
+    named = re.findall(r"`(\w+)`", sentence)
+    assert named == [name + "".join("_" + "ij"[k] for k in range(count))
+                     for name, (count, _, _) in _OBSERVABLES.items()]
+
+
 def test_readme_subcommand_table_mirrors_the_rows():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n| subcommand |", 1)[1].split("\n\n")[0]
@@ -1312,16 +1352,17 @@ OVERFLOWING = [
       "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 2),
     (["sweep", "--theta-steps", "3", "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 2),
     (["sweep", "--theta-steps", "3", "--omega-d-rad-s", "1e160", "--da0-joule", "1e-26"], 2),
-    (["broadband", "--theta-steps", "3", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 2),
-    (["time-delay", "--theta-rad", "1", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 1),
+    (["broadband", "--theta-steps", "3", "--a0-joule", "1e-160", "--da0-joule", "1e-162"], 2),
+    (["time-delay", "--theta-rad", "1", "--a0-joule", "1e-160", "--da0-joule", "1e-162"], 1),
     (["spectrum", "--theta-rad", "1", "--omega-d-rad-s", "1e300",
       "--da0-joule", "1e-26"], 1),
     (["entangle", "--theta-steps", "3", "--temperature-mk", "25",
       "--a0-joule", "1e-150", "--da0-joule", "1e-152"], 2),
     (["entangle", "--theta-steps", "3", "--a0-joule", "1e-160",
       "--da0-joule", "1e-152"], 2),
-    (["entangle", "--theta-steps", "3", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 2),
-    (["oracle-check", "--theta-rad", "1", "--v-m-s", "1e-300", "--da0-joule", "1e-26"], 1),
+    (["entangle", "--theta-steps", "3", "--a0-joule", "1e-160", "--da0-joule", "1e-162"], 2),
+    (["oracle-check", "--theta-rad", "1", "--a0-joule", "1e-160",
+      "--da0-joule", "1e-162"], 1),
 ]
 
 
