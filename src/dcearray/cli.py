@@ -1,10 +1,10 @@
 """Command-line driver: key=value configs, parameter sweeps, CSV output.
 
-Configs are UTF-8 ``key=value`` lines, optionally layered with command-line
-overrides that mirror the keys (``--theta-start`` for ``theta_start`` and so
-on).  Every subcommand emits CSV with '#'-prefixed header and status lines,
-17 significant digits, and deterministic row order, so reruns with the same
-config are byte-identical.
+Configs are UTF-8 ``key=value`` lines, a leading byte-order mark skipped,
+optionally layered with command-line overrides that mirror the keys
+(``--theta-start`` for ``theta_start`` and so on).  Every subcommand emits
+CSV with '#'-prefixed header and status lines, 17 significant digits, and
+deterministic row order, so reruns with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def parse_config(
         topology=topology,
         drive=drive,
         target_occupancy=target,
-        line=LineParams(z0=values["z0_ohm"], v=1.2e8),  # v cancels from every output
+        line=LineParams(z0=values["z0_ohm"]),
         temperatures=temps,
         observables=observables,
         out=values.get("out"),
@@ -583,7 +583,7 @@ def main(argv=None) -> int:
         text = ""
         if args.config:
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(args.config, encoding="utf-8-sig") as fh:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None

@@ -7,9 +7,8 @@ The terminating and coupling Josephson energies are modulated as
 
 so each normal mode n with Laplacian eigenvalue lambda_n sees a static
 energy Lambda0_n = A0 (sin phi + lambda_n cos phi), a modulation
-dLambda_n = dA0 (sin theta + lambda_n cos theta), an effective length
-modulation deltaL_n = (phi0/2pi)^2 dLambda_n / (L0 Lambda0_n^2), and a
-dimensionless pair-creation amplitude eps_n = (w_d / 2v) deltaL_n.
+dLambda_n = dA0 (sin theta + lambda_n cos theta), and a dimensionless
+pair-creation amplitude eps_n = w_d (phi0/2pi)^2 dLambda_n / (2 Z0 Lambda0_n^2).
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ __all__ = [
 ]
 
 PERTURBATIVE_RATIO = 0.1
+# m/s; the phase velocity cancels from every output, as eps_n has no v in it.
+PHASE_VELOCITY = 1.2e8
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,13 @@ class DriveParams:
 
 @dataclass(frozen=True)
 class LineParams:
-    """Characteristic impedance and phase velocity of each waveguide."""
+    """Characteristic impedance of each waveguide."""
 
     z0: float   # ohm
-    v: float    # m/s
 
     def __post_init__(self):
-        if self.z0 <= 0 or self.v <= 0:
-            raise ValueError("z0 and v must be positive")
-
-    @property
-    def l0(self) -> float:
-        """Inductance per unit length, H/m."""
-        return self.z0 / self.v
-
-    @property
-    def c0(self) -> float:
-        """Capacitance per unit length, F/m."""
-        return 1.0 / (self.z0 * self.v)
+        if self.z0 <= 0:
+            raise ValueError(f"z0 must be positive, got {self.z0}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +80,11 @@ class ModeResponse:
     lambda0: np.ndarray   # J, shape (N,): independent of theta
     dlambda: np.ndarray   # J, shape (N,) for one angle, (K, N) for K angles
     delta_l: np.ndarray   # m, shaped as dlambda
-    eps: np.ndarray       # dimensionless, (omega_d / 2v) * delta_l
+    eps: np.ndarray       # dimensionless, shaped as dlambda
     omega_d: float        # rad/s
     v: float              # m/s
+    # delta_l and v are filled from PHASE_VELOCITY for bench/workloads.py,
+    # which builds ModeResponse by keyword; no output reads them.
 
 
 def intensities(modes: ModeResponse, spectrum: LaplacianSpectrum) -> np.ndarray:
@@ -115,16 +107,16 @@ def mode_response(
     theta = np.asarray(drive.theta, dtype=float)[..., None]  # (K, 1) or (1,)
     dlambda = drive.da0 * (np.sin(theta) + lam * np.cos(theta))
     delta_l = (FLUX_QUANTUM / (2.0 * math.pi)) ** 2 * dlambda / (
-        line.l0 * lambda0**2
+        (line.z0 / PHASE_VELOCITY) * lambda0**2
     )
-    eps = drive.omega_d / (2.0 * line.v) * delta_l
+    eps = drive.omega_d / (2.0 * PHASE_VELOCITY) * delta_l
     return ModeResponse(
         lambda0=lambda0,
         dlambda=dlambda,
         delta_l=delta_l,
         eps=eps,
         omega_d=drive.omega_d,
-        v=line.v,
+        v=PHASE_VELOCITY,
     )
 
 

@@ -51,7 +51,7 @@ from dcearray.spectral import (
     photon_flux_density,
 )
 
-LINE = LineParams(z0=55.0, v=1.2e8)
+LINE = LineParams(z0=55.0)
 OMEGA_D = 2.0 * math.pi * 10.3e9
 SPEC2 = eigendecompose(build_laplacian(ArrayTopology.open_chain(2)))
 THETA_NOON = math.atan(0.25)
@@ -170,7 +170,7 @@ def test_criterion_3_entanglement_and_noon_fidelity():
     cal = calibrated_noon_modes()
     state = output_gaussian(cal, SPEC2, 0.0)
     f_wick = noon_fidelity(
-        density_matrix(state, post_select=True, max_degree=None, remainder_tol=1e-6)
+        density_matrix(state, post_select=True)
     )
     # At the NOON angle eps_1 = eps_2, so each guide holds an independent
     # single-mode squeezed vacuum with sinh r = eps.  Post-selection removes
@@ -266,7 +266,7 @@ def test_criterion_5_finite_temperature():
     fid = []
     for t_k in (0.050, 0.060):
         state = output_gaussian(cal, SPEC2, t_k)
-        rho = density_matrix(state, post_select=True, max_degree=None)
+        rho = density_matrix(state, post_select=True)
         fid.append(noon_fidelity(rho))
     fidelity_ok = fid[0] > fid[1]
 
@@ -322,9 +322,7 @@ def test_criterion_6_oracle_equivalence():
                 + [(1, False)] * low[1]
             )
             worst_moment = max(worst_moment, abs(wick_moment(state, word) - theirs))
-        rho = density_matrix(
-            state, post_select=False, max_degree=None, remainder_tol=1e-6
-        ).rho
+        rho = density_matrix(state, post_select=False).rho
         rho_ref = oracle.fock_block(ref, levels=3)
         rho_ref /= np.trace(rho_ref).real
         worst_rho = max(worst_rho, float(np.max(np.abs(rho - rho_ref))))

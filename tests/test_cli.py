@@ -32,7 +32,7 @@ def _sweep_lines(cfg):
 def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.topology.n == 2
-    assert cfg.line.l0 == pytest.approx(55.0 / 1.2e8)
+    assert cfg.line.z0 == 55.0
     assert cfg.drive.phi == pytest.approx(math.pi / 4.0)
     assert cfg.drive.omega_d == pytest.approx(2.0 * math.pi * 10.3e9)
     assert cfg.temperatures == (0.0,)
@@ -55,6 +55,17 @@ def test_phase_velocity_is_no_key(tmp_path, capsys):
         main(["sweep", "--target-occupancy", "0.1", "--v-m-s", "1e8"])
     assert info.value.code == 2
     assert "unrecognized arguments: --v-m-s" in capsys.readouterr().err
+
+
+def test_config_file_byte_order_mark_is_skipped(tmp_path, capsys):
+    text = "target_occupancy = 0.1\ntheta_steps = 5\ntemperature_mk = 0,25\n"
+    outputs = []
+    for bom in ("", "\ufeff"):
+        config = tmp_path / "run.cfg"
+        config.write_text(bom + text, encoding="utf-8")
+        outputs.append((main(["sweep", "--config", str(config)]), capsys.readouterr()))
+    assert outputs[1][1].out.startswith("#")
+    assert outputs[1] == outputs[0]
 
 
 def test_da0_and_target_are_exclusive():
@@ -997,7 +1008,7 @@ def _calibrated_point(topology, theta, target):
     from dcearray.lattice import build_laplacian, eigendecompose
 
     spectrum = eigendecompose(build_laplacian(topology))
-    line = LineParams(z0=55.0, v=1.2e8)
+    line = LineParams(z0=55.0)
     seed = DriveParams(a0=1e-23, da0=1e-23 * 1e-3, phi=math.pi / 4.0, theta=theta,
                        omega_d=2.0 * math.pi * 10.3e9)
     return spectrum, line, *calibrate_da0_over_grid(seed, line, spectrum, target)

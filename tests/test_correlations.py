@@ -13,12 +13,17 @@ from dcearray.correlations import (
     intensities,
     pair_amplitude,
 )
-from dcearray.drive import DriveParams, LineParams, mode_response
+from dcearray.drive import (
+    PHASE_VELOCITY,
+    DriveParams,
+    LineParams,
+    mode_response,
+)
 from dcearray.errors import AsymmetricModes, ZeroIntensity
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 from dcearray.quantum_state import thermal_occupation
 
-LINE = LineParams(z0=55.0, v=1.2e8)
+LINE = LineParams(z0=55.0)
 OMEGA_D = 2.0 * math.pi * 10.3e9
 SPEC2 = eigendecompose(build_laplacian(ArrayTopology.open_chain(2)))
 
@@ -39,7 +44,7 @@ def test_two_guide_intensities_equal():
     modes = modes_at(0.9, 1.7)
     n = intensities(modes, SPEC2)
     assert n[0] == pytest.approx(n[1], rel=1e-12)
-    expected = (modes.omega_d / (2.0 * LINE.v)) ** 2 * (
+    expected = (modes.omega_d / (2.0 * PHASE_VELOCITY)) ** 2 * (
         modes.delta_l[0] ** 2 + modes.delta_l[1] ** 2
     ) / 2.0
     assert n[0] == pytest.approx(expected, rel=1e-12)

@@ -7,6 +7,7 @@ import pytest
 
 from dcearray.constants import FLUX_QUANTUM
 from dcearray.drive import (
+    PHASE_VELOCITY,
     DriveParams,
     LineParams,
     calibrate_da0_over_grid,
@@ -15,7 +16,7 @@ from dcearray.drive import (
 from dcearray.errors import NonFinite, NonPositiveModeEnergy
 from dcearray.lattice import ArrayTopology, build_laplacian, eigendecompose
 
-LINE = LineParams(z0=55.0, v=1.2e8)
+LINE = LineParams(z0=55.0)
 OMEGA_D = 2.0 * math.pi * 10.3e9
 
 
@@ -27,9 +28,34 @@ def drive(phi, theta, a0=1e-23, da0=1e-25):
     return DriveParams(a0=a0, da0=da0, phi=phi, theta=theta, omega_d=OMEGA_D)
 
 
-def test_line_derived_quantities():
-    assert LINE.l0 == pytest.approx(55.0 / 1.2e8)
-    assert LINE.l0 * LINE.c0 * LINE.v**2 == pytest.approx(1.0)
+def test_line_takes_no_phase_velocity():
+    with pytest.raises(TypeError):
+        LineParams(z0=55.0, v=1.2e8)
+
+
+@pytest.mark.parametrize("z0", [0.0, -1.0])
+def test_line_rejects_non_positive_impedance(z0):
+    with pytest.raises(ValueError, match="z0 must be positive"):
+        LineParams(z0=z0)
+
+
+@pytest.mark.parametrize(
+    "topology", [ArrayTopology.open_chain(2), ArrayTopology.ring(31)], ids=["chain-2", "ring-31"]
+)
+def test_eps_is_the_phase_velocity_free_law(topology):
+    # eps_n = w_d (phi0/2pi)^2 dLambda_n / (2 Z0 Lambda0_n^2): no v in it
+    spec = eigendecompose(build_laplacian(topology))
+    thetas = np.linspace(0.0, math.pi, 301)
+    d = drive(math.pi / 4.0, thetas)
+    modes = mode_response(d, LINE, spec)
+    lam = spec.lambdas
+    lambda0 = d.a0 * (math.sin(d.phi) + lam * math.cos(d.phi))
+    dlambda = d.da0 * (np.sin(thetas)[:, None] + lam * np.cos(thetas)[:, None])
+    law = OMEGA_D * (FLUX_QUANTUM / (2.0 * math.pi)) ** 2 * dlambda / (
+        2.0 * LINE.z0 * lambda0**2
+    )
+    np.testing.assert_allclose(modes.eps, law, rtol=1e-15, atol=0.0)
+    assert modes.v == PHASE_VELOCITY
 
 
 def test_perturbative_warning():
@@ -78,7 +104,9 @@ def test_two_guide_closed_form_ratios():
         theta = rng.uniform(0.0, math.pi)
         d = drive(phi, theta)
         resp = mode_response(d, LINE, spec)
-        scale = (FLUX_QUANTUM / (2.0 * math.pi)) ** 2 * d.da0 / (LINE.l0 * d.a0**2)
+        scale = (FLUX_QUANTUM / (2.0 * math.pi)) ** 2 * d.da0 / (
+            (LINE.z0 / PHASE_VELOCITY) * d.a0**2
+        )
         assert resp.delta_l[0] == pytest.approx(
             scale * math.sin(theta) / math.sin(phi) ** 2, rel=1e-12, abs=1e-30
         )

@@ -32,7 +32,7 @@ from dcearray.quantum_state import (
     wick_moment,
 )
 
-LINE = LineParams(z0=55.0, v=1.2e8)
+LINE = LineParams(z0=55.0)
 OMEGA_D = 2.0 * math.pi * 10.3e9
 SPEC2 = eigendecompose(build_laplacian(ArrayTopology.open_chain(2)))
 

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from dcearray.constants import HBAR
 from dcearray.correlations import g2_thermal, g2_zero_temperature
 from dcearray.drive import (
+    PHASE_VELOCITY,
     DriveParams,
     LineParams,
     calibrate_da0_over_grid,
@@ -31,7 +32,7 @@ from dcearray.spectral import (
     scattering_amplitude,
 )
 
-LINE = LineParams(z0=55.0, v=1.2e8)
+LINE = LineParams(z0=55.0)
 OMEGA_D = 2.0 * math.pi * 10.3e9
 SPEC2 = eigendecompose(build_laplacian(ArrayTopology.open_chain(2)))
 
@@ -89,7 +90,7 @@ def test_integrated_flux_matches_band_intensity_structure():
         lambda w: photon_flux_density(0, w, MODES, SPEC2, 0.0), 0.0, OMEGA_D
     )
     weights = SPEC2.modes[:, 0] ** 2
-    expected = float(weights @ (MODES.delta_l / LINE.v) ** 2) * OMEGA_D**3 / 6.0
+    expected = float(weights @ (MODES.delta_l / PHASE_VELOCITY) ** 2) * OMEGA_D**3 / 6.0
     assert total == pytest.approx(expected, rel=1e-9)
 
 
@@ -101,7 +102,7 @@ def test_g1_closed_form_and_quadrature():
     expected = (
         HBAR * LINE.z0 / (4.0 * math.pi)
         * band
-        * float(weights @ (MODES.delta_l / LINE.v) ** 2)
+        * float(weights @ (MODES.delta_l / PHASE_VELOCITY) ** 2)
     )
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -119,10 +120,10 @@ def test_g1_single_mode_scale():
     modes = ModeResponse(
         lambda0=np.array([1e-23]),
         dlambda=np.array([1e-26]),
-        delta_l=np.array([LINE.v / OMEGA_D]),
+        delta_l=np.array([PHASE_VELOCITY / OMEGA_D]),
         eps=np.array([0.5]),
         omega_d=OMEGA_D,
-        v=LINE.v,
+        v=PHASE_VELOCITY,
     )
     expected = HBAR * LINE.z0 / (4.0 * math.pi) * OMEGA_D**2 / 12.0
     assert g1_broadband(0, modes, spec1, LINE) == pytest.approx(expected, rel=1e-12)
@@ -147,7 +148,7 @@ def test_spectral_amplitudes_read_the_drive_as_eps():
 
 
 def test_pair_integral_at_zero_delay():
-    expected = -1j * MODES.delta_l[0] / LINE.v * OMEGA_D**3 / 6.0
+    expected = -1j * MODES.delta_l[0] / PHASE_VELOCITY * OMEGA_D**3 / 6.0
     assert pair_integral(0, 0.0, MODES) == pytest.approx(expected, rel=1e-12)
 
 
