@@ -550,6 +550,24 @@ def test_out_in_missing_directory_is_a_config_error(tmp_path, capsys, monkeypatc
     assert "config error" in capsys.readouterr().err
 
 
+def test_running_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # as numpy's error for a ring of n = 100000, whose Laplacian alone is 74.5 GiB
+    import dcearray.cli as cli
+
+    def too_large(config):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    monkeypatch.setitem(cli.SUBCOMMANDS, "sweep", too_large)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--da0-joule", "1e-25", "--theta-rad", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 74.5 GiB for an array with shape "
+        "(100000, 100000) and data type float64\n"
+    )
+    assert not out.exists()
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "config error" in capsys.readouterr().err
@@ -991,12 +1009,64 @@ def test_a_failed_row_prints_its_message_verbatim():
 
 
 def test_sweep_returns_one_chunk_per_temperature():
+    # the header and status lines are chunks of their own; the rows come in
+    # blocks of at most _BLOCK_ROWS
+    from dcearray.cli import _BLOCK_ROWS
+
     cfg = parse_config(MINIMAL + "theta_steps = 1500\ntemperature_mk = 0,25,40\n")
     chunks, failures = run_sweep(cfg)
+    chunks = list(chunks)
     assert failures == 0
-    assert len(chunks) == 1 + 3 + 1
     assert all(chunk.endswith("\n") for chunk in chunks)
-    assert [chunk.count("\n") for chunk in chunks] == [1, 1500, 1500, 1500, 1]
+    assert chunks[0].startswith("# theta,") and chunks[0].count("\n") == 1
+    assert chunks[-1] == "# status: ok\n"
+    rows = [chunk.count("\n") for chunk in chunks[1:-1]]
+    assert all(0 < count <= _BLOCK_ROWS for count in rows)
+    assert sum(rows) == 4500
+
+
+def test_failed_rows_at_block_edges_match_cell_by_cell_formatting(monkeypatch):
+    # failed points on both sides of a block boundary and in the last block,
+    # one message holding "%", in both temperature batches
+    import dcearray.cli as cli
+    from dcearray.errors import NonFinite, ZeroIntensity, with_errors
+
+    edge = cli._BLOCK_ROWS
+    errors = {edge - 1: NonFinite("100% of %s and %.17g cells"),
+              edge: ZeroIntensity("first row of a block"), 2 * edge + 3: NonFinite("x")}
+    n_indices, state, _ = cli._OBSERVABLES["g2"]
+    monkeypatch.setitem(cli._OBSERVABLES, "g2", (
+        n_indices, state, lambda corr, i, j: with_errors(corr.g2(i, j), errors)
+    ))
+    cfg = parse_config(MINIMAL + f"theta_steps = {2 * edge + 5}\ntemperature_mk = 0,25\n")
+    lines, failures = _sweep_lines(cfg)
+    assert lines == _cell_by_cell_lines(cfg)
+    assert failures == 6
+    assert lines[edge].endswith(",,,,NonFinite: 100% of %s and %.17g cells")
+    assert lines[-1] == f"# status: partial (6 of {2 * (2 * edge + 5)} points failed)"
+
+
+@pytest.mark.parametrize(
+    "command, config, reference",
+    [
+        ("spectrum", "theta_rad = 1.1\ntemperature_mk = 0,25\n",
+         lambda: _spectrum_lines(1.1, (0.0, 25.0))),
+        ("time-delay", "theta_rad = 2.0\n", lambda: _time_delay_lines(2.0)),
+    ],
+    ids=["spectrum-ring64", "time-delay-ring64"],
+)
+def test_table_rows_come_in_blocks_with_the_same_bytes(command, config, reference):
+    # 2048 omegas at two temperatures, 512 taus
+    from dcearray.cli import _BLOCK_ROWS
+
+    cfg = parse_config("topology = ring\nn = 64\n" + MINIMAL + config, command=command)
+    chunks, failures = SUBCOMMANDS[command](cfg)
+    chunks, lines = list(chunks), reference()
+    assert failures == 0
+    rows = (len(lines) - 2) // len(cfg.temperatures)  # per batch
+    assert len(chunks) - 2 == -(-rows // _BLOCK_ROWS) * len(cfg.temperatures)
+    assert all(chunk.endswith("\n") and chunk.count("\n") <= _BLOCK_ROWS for chunk in chunks)
+    assert "".join(chunks) == "\n".join(lines) + "\n"
 
 
 def _calibrated_point(topology, theta, target):

@@ -50,9 +50,11 @@ def test_only_the_cli_freezes_the_heap_it_imports():
         # the rho dump follows the status line
         (["entangle", "--target-occupancy", "0.3", "--theta-rad", "1.3",
           "--temperature-mk", "40"], 0),
-        # one chunk of rows per temperature
+        # blocks of rows per temperature
         (["spectrum", "--target-occupancy", "0.1", "--theta-rad", "1.1",
           "--temperature-mk", "0,25"], 0),
+        # one table in blocks of rows
+        (["time-delay", "--target-occupancy", "0.1", "--theta-rad", "2.0"], 0),
     ],
 )
 def test_stdout_carries_the_out_file_bytes_and_the_exit_code(args, code, tmp_path):
