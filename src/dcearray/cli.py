@@ -161,7 +161,7 @@ def _tokens(key: str, raw: str) -> tuple:
 
 
 def _out(key: str, raw: str) -> str:
-    if os.path.isdir(raw) or not os.path.isdir(os.path.dirname(raw) or "."):
+    if not raw or os.path.isdir(raw) or not os.path.isdir(os.path.dirname(raw) or "."):
         raise RangeError(f"{key}={raw!r} is not a file in an existing directory")
     return raw
 
@@ -311,11 +311,10 @@ def _prepare(config: RunConfig) -> tuple:
     )
 
 
-def _finite(values, what: str):
-    """``values``; NonFinite if one of them is inf or nan."""
+def _finite(values, what: str) -> None:
+    """NonFinite if one of ``values`` is inf or nan."""
     if not np.isfinite(values).all():
         raise NonFinite(f"{what} is not finite; the drive is beyond double precision")
-    return values
 
 
 # Rows per formatted block, so a CSV's Python cells and text exist one block at
@@ -324,34 +323,50 @@ def _finite(values, what: str):
 _BLOCK_ROWS = 256
 
 
-def _csv(header: str, keys, batches, status: str):
-    """A CSV's chunks, formatted as read: header, blocks of rows, status line.
+def _csv(header: str, keys, batches) -> tuple:
+    """A CSV's chunks and its failure count: (chunks, n_failures).
 
     Row k of a batch (lead, columns, failed) is ``keys`` cell k, ``lead`` and
-    its ``columns`` cells; ``failed`` (None: no error column) maps a point to
-    its error, whose message ends its row in place of the cells (``%.0s``).
+    its ``columns`` cells.  Batches whose ``failed`` maps a point to its error
+    make a grid: an ``error`` column ends each row, and a failed point's row
+    holds its message there in place of the cells (``%.0s``).  Batches with
+    ``failed`` None make a table, whose inf or nan cell fails the run
+    (NonFinite) here.  ``chunks`` is an iterator, read once, that formats the
+    header, blocks of at most _BLOCK_ROWS rows per batch and the status line
+    as it is read.
     """
-    yield "# " + header + "\n"
-    keys = [_fmt(key) for key in keys.tolist()]  # formatted once for all batches
-    for lead, columns, failed in batches:
-        ok = "%s" + lead + ",%.17g" * len(columns) + ("\n" if failed is None else ",\n")
-        bad = "%s" + lead + ",%.0s" * len(columns) + ","
-        errors = sorted((failed or {}).items(), reverse=True)  # popped in row order
-        for start in range(0, len(keys), _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, len(keys))
-            rows = [ok] * (stop - start)
-            while errors and errors[-1][0] < stop:
-                k, error = errors.pop()
-                rows[k - start] = bad + f"{type(error).__name__}: {error}".replace("%", "%%") + "\n"
-            cells = zip(keys[start:stop], *(column[start:stop].tolist() for column in columns))
-            yield "".join(rows) % tuple(chain.from_iterable(cells))
-    yield f"# status: {status}\n"
+    maps = [failed for _, _, failed in batches if failed is not None]
+    if not maps:
+        values = [keys, *(column for _, columns, _ in batches for column in columns)]
+        _finite(np.concatenate(values), f"a value of {header}")
+    failures = sum(map(len, maps))
+    points = len(keys) * len(batches)
+    status = f"partial ({failures} of {points} points failed)" if failures else "ok"
+
+    def chunks():
+        yield "# " + header + (",error\n" if maps else "\n")
+        text = [_fmt(key) for key in keys.tolist()]  # formatted once for all batches
+        for lead, columns, failed in batches:
+            ok = "%s" + lead + ",%.17g" * len(columns) + (",\n" if maps else "\n")
+            bad = "%s" + lead + ",%.0s" * len(columns) + ","
+            errors = sorted((failed or {}).items(), reverse=True)  # popped in row order
+            for start in range(0, len(text), _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, len(text))
+                rows = [ok] * (stop - start)
+                while errors and errors[-1][0] < stop:
+                    k, exc = errors.pop()
+                    rows[k - start] = bad + f"{type(exc).__name__}: {exc}".replace("%", "%%") + "\n"
+                cells = zip(text[start:stop], *(c[start:stop].tolist() for c in columns))
+                yield "".join(rows) % tuple(chain.from_iterable(cells))
+        yield f"# status: {status}\n"
+
+    return chunks(), failures
 
 
-def _table(header: str, *columns):
-    """CSV chunks (see _csv) of a float table keyed by its first column, checked finite."""
-    cells = _finite(np.column_stack(columns), f"a value of {header}")
-    return _csv(header, cells[:, 0], [("", cells.T[1:], None)], "ok")
+def _table(header: str, *columns) -> tuple:
+    """_csv of a float table keyed by its first column."""
+    cells = np.column_stack(columns)
+    return _csv(header, cells[:, 0], [("", cells.T[1:], None)])
 
 
 def _point_values(specs, modes, spectrum, temperature):
@@ -382,20 +397,6 @@ def _point_values(specs, modes, spectrum, temperature):
     return columns, failed, states.get(_qutrit_state)
 
 
-def _tabulate(lead_columns, value_columns, thetas, batches) -> tuple:
-    """CSV chunks of a grid and its failure count: (chunks, n_failures).
-
-    A batch (lead, columns, failed) gives each theta a row of the cells
-    ``lead`` and the columns of _point_values, or of a failed point's error.
-    ``chunks`` is an iterator, read once, of str formatted as read (_csv): the
-    header, blocks of at most _BLOCK_ROWS rows per batch, the status line.
-    """
-    failures = sum(len(failed) for _, _, failed in batches)
-    status = f"partial ({failures} of {len(thetas) * len(batches)} points failed)"
-    header = ",".join([*lead_columns, *value_columns, "error"])
-    return _csv(header, thetas, batches, status if failures else "ok"), failures
-
-
 def _sweep(config: RunConfig) -> tuple:
     """run_sweep's chunks and failures, and the qutrit state of the first point.
 
@@ -411,17 +412,15 @@ def _sweep(config: RunConfig) -> tuple:
         if not batches and tdm is not None and 0 not in failed:
             first = tdm.rho[0]
         batches.append((f",{_fmt(drive.phi)},{_fmt(temp)}", columns, failed))
-    chunks, failures = _tabulate(
-        ("theta", "phi", "temperature_mk"), config.observables, drive.theta, batches
-    )
-    return chunks, failures, first
+    header = ",".join(("theta", "phi", "temperature_mk", *config.observables))
+    return (*_csv(header, drive.theta, batches), first)
 
 
 def run_sweep(config: RunConfig) -> tuple:
     """Evaluate the (theta, temperature) grid; returns (chunks, n_failures).
 
     Every point is computed before this returns; ``chunks`` is an iterator,
-    read once, that formats the CSV as it is read (see _tabulate).  One row
+    read once, that formats the CSV as it is read (see _csv).  One row
     per grid point ordered by index, observables per the config; failed
     points leave their cells empty and carry the error message in the
     trailing error column.
@@ -436,10 +435,8 @@ def _run_spectrum(config: RunConfig) -> tuple:
     omegas = omega_grid(drive.omega_d)
     temps = config.temperatures
     flux = [photon_flux_density(0, omegas, modes, spectrum, t * 1e-3) for t in temps]
-    header = "omega_rad_s,temperature_mk,flux_1"
-    _finite(np.concatenate([omegas, *flux]), f"a value of {header}")
     batches = [("," + _fmt(temp), [column], None) for temp, column in zip(temps, flux)]
-    return _csv(header, omegas, batches, "ok"), 0
+    return _csv("omega_rad_s,temperature_mk,flux_1", omegas, batches)
 
 
 def _run_time_delay(config: RunConfig) -> tuple:
@@ -448,8 +445,7 @@ def _run_time_delay(config: RunConfig) -> tuple:
     tau = TAU_GRID / drive.omega_d
     g11 = g2_broadband(0, 0, tau, modes, spectrum, config.line)
     g12 = g2_broadband(0, 1, tau, modes, spectrum, config.line)
-    header = "omega_d_tau,g2_broadband_1_1,g2_broadband_1_2"
-    return _table(header, TAU_GRID, g11, g12), 0
+    return _table("omega_d_tau,g2_broadband_1_1,g2_broadband_1_2", TAU_GRID, g11, g12)
 
 
 def _run_broadband(config: RunConfig) -> tuple:
@@ -457,8 +453,7 @@ def _run_broadband(config: RunConfig) -> tuple:
     spectrum, drive, modes = _prepare(config)
     specs = [(_correlations, g2_broadband_normalized, (0, j)) for j in (0, 1)]
     columns, failed, _ = _point_values(specs, modes, spectrum, 0.0)
-    batch = ("", columns, failed)
-    return _tabulate(("theta",), ("g2bb_1_1", "g2bb_1_2"), drive.theta, [batch])
+    return _csv("theta,g2bb_1_1,g2bb_1_2", drive.theta, [("", columns, failed)])
 
 
 def _run_entangle(config: RunConfig) -> tuple:
@@ -477,8 +472,7 @@ def _run_entangle(config: RunConfig) -> tuple:
 def _run_calibrate(config: RunConfig) -> tuple:
     """Report the da0 that meets the target occupancy over the theta grid."""
     _, drive, _ = _prepare(config)
-    header = "da0_joule,target_occupancy"
-    return _table(header, [drive.da0], [config.target_occupancy]), 0
+    return _table("da0_joule,target_occupancy", [drive.da0], [config.target_occupancy])
 
 
 # oracle-check takes the first of these registers that holds the state, as
@@ -520,7 +514,7 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     rho_ref = oracle.fock_block(ref, levels=3)
     rho_ref /= np.trace(rho_ref).real  # same qutrit-block normalization
     rho_err = float(np.max(np.abs(tdm.rho - rho_ref)))
-    return _table("max_moment_error,max_rho_error", [moment_err], [rho_err]), 0
+    return _table("max_moment_error,max_rho_error", [moment_err], [rho_err])
 
 
 # One row per subcommand: its runner and what parse_config lets it read, the
@@ -592,7 +586,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, encoding="utf-8-sig") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None
         config = parse_config(text, overrides, args.command)
         if config.out:
@@ -613,7 +607,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a config too large for this machine, n above all
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
     if not config.out:

@@ -568,6 +568,41 @@ def test_running_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_running_out_of_memory_without_a_message_is_an_error_line(capsys, monkeypatch):
+    # as a bare MemoryError, raised while building the edges of n = 99999999999
+    import dcearray.cli as cli
+
+    def too_large(config):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli.SUBCOMMANDS, "sweep", too_large)
+    assert main(["sweep", "--da0-joule", "1e-25", "--theta-rad", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"target_occupancy = 0.1\n# caf\xe9\n")
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", (
+        "config error: cannot read config file: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 28: invalid continuation byte\n"
+    ))
+
+
+def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # only an omitted out means stdout, from a flag or a config file alike
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(MINIMAL + "out =\n")
+    for args in (["--out", ""], ["--out="], ["--config", str(config)]):
+        assert main(["sweep", "--target-occupancy", "0.1", *args]) == 1
+        assert capsys.readouterr() == (
+            "", "config error: out='' is not a file in an existing directory\n"
+        )
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "config error" in capsys.readouterr().err
@@ -990,22 +1025,44 @@ def test_batch_rows_match_cell_by_cell_formatting(config, errors):
 
 def test_a_failed_row_prints_its_message_verbatim():
     # a "%" in an error message is text, not a directive of the batch's template
-    from dcearray.cli import _tabulate
+    from dcearray.cli import _csv
     from dcearray.errors import NonFinite
 
     thetas = np.array([0.25, 0.5, 0.75])
     cold = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])]
     warm = [np.array([7.0, 8.0, 9.0]), np.array([0.1, 0.2, 0.3])]
     error = NonFinite("100% of %s and %.17g cells")
-    ok, _ = _tabulate(("theta",), ("a", "b"), thetas, [(",0", cold, {}), (",25", warm, {})])
-    chunks, failures = _tabulate(
-        ("theta",), ("a", "b"), thetas, [(",0", cold, {1: error}), (",25", warm, {})]
-    )
+    ok, _ = _csv("theta,t,a,b", thetas, [(",0", cold, {}), (",25", warm, {})])
+    chunks, failures = _csv("theta,t,a,b", thetas, [(",0", cold, {1: error}), (",25", warm, {})])
     lines, reference = "".join(chunks).splitlines(), "".join(ok).splitlines()
     assert failures == 1
     assert lines[2] == "0.5,0,,,NonFinite: 100% of %s and %.17g cells"
     assert lines[:2] + lines[3:-1] == reference[:2] + reference[3:-1]
     assert lines[-1] == "# status: partial (1 of 6 points failed)"
+
+
+@pytest.mark.parametrize("bad", [None, math.inf, math.nan], ids=["finite", "inf", "nan"])
+def test_a_table_is_finite_or_fails_its_run(bad):
+    # batches without a failure map: no error column, and an inf or nan cell
+    # of any batch fails the run before a chunk exists
+    from dcearray.cli import _csv
+    from dcearray.errors import NonFinite
+
+    omegas = np.array([1.0, 2.0])
+    warm = np.array([0.5, 0.25 if bad is None else bad])
+    batches = [(",0", [np.array([3.0, 4.0])], None), (",25", [warm], None)]
+    if bad is not None:
+        with pytest.raises(NonFinite) as info:
+            _csv("omega,t,flux", omegas, batches)
+        assert str(info.value) == (
+            "a value of omega,t,flux is not finite; the drive is beyond double precision"
+        )
+        return
+    chunks, failures = _csv("omega,t,flux", omegas, batches)
+    assert failures == 0
+    assert "".join(chunks).splitlines() == [
+        "# omega,t,flux", "1,0,3", "2,0,4", "1,25,0.5", "2,25,0.25", "# status: ok",
+    ]
 
 
 def test_sweep_returns_one_chunk_per_temperature():
@@ -1216,8 +1273,8 @@ def test_one_step_entangle_grid_dumps_rho_as_theta_rad(tmp_path):
 
 
 # The values the fuzz draws per config key: (valid ones, ones that
-# parse_config rejects).  The one invalid out is a directory, so no run
-# writes a file.
+# parse_config rejects).  The invalid outs are a directory and the empty
+# path, so no run writes a file.
 FUZZ_VALUES = {
     "topology": (["open_chain", "ring"], ["star"]),
     "n": (["1", "2", "3", "4"], ["0", "two"]),
@@ -1234,7 +1291,7 @@ FUZZ_VALUES = {
     "temperature_mk": (["0", "25", "40", "0,25", "0,0"], ["-5", "25,"]),
     "observables": (["n_1", "n_1,g2_1_2", "g2_1_1,cs_violation_1_2", "entropy",
                      "f_noon,n_2", "n_1,f_eq10,g2_2_2"], ["g2_1_5", "bogus"]),
-    "out": ([], ["."]),
+    "out": ([], [".", ""]),
 }
 
 
@@ -1263,6 +1320,7 @@ REJECTIONS = {
     ("observables", "g2_1_5"): "observable 'g2_1_5' indexes outside 1..2",
     ("observables", "bogus"): "unrecognized observable token 'bogus'",
     ("out", "."): "out='.' is not a file in an existing directory",
+    ("out", ""): "out='' is not a file in an existing directory",
 }
 
 
@@ -1367,11 +1425,21 @@ def test_readme_subcommand_table_mirrors_the_rows():
     ]
 
 
+# How the fuzz encodes a config file: its text as UTF-8, after a byte-order
+# mark, or with a comment line that holds a byte UTF-8 cannot decode
+_CONFIG_ENCODINGS = {
+    "utf-8": lambda text: text.encode(),
+    "utf-8-sig": lambda text: text.encode("utf-8-sig"),
+    "stray-0xe9": lambda text: b"# caf\xe9\n" + text.encode(),
+}
+
+
 @st.composite
 def _cli_argv(draw):
-    """A subcommand and its config flags: mostly an amplitude and one theta,
-    up to four other keys, and all values valid but at most one.  Every key
-    of CONFIG_KEYS needs an entry in FUZZ_VALUES."""
+    """A subcommand, its config flags and the bytes of its config file (None:
+    no file): mostly an amplitude and one theta, up to four other keys, and
+    all values valid but at most one.  Some draws move some keys from the
+    flags to the file.  Every key of CONFIG_KEYS needs an entry in FUZZ_VALUES."""
     amplitude = draw(st.sampled_from(["target_occupancy", "da0_joule"] * 2 + [None]))
     angle = draw(st.sampled_from(["theta_rad", None]))
     keys = draw(st.lists(
@@ -1383,16 +1451,27 @@ def _cli_argv(draw):
     bad = draw(st.sampled_from([None] * 3 * len(CONFIG_KEYS) + list(CONFIG_KEYS)))
     if bad:
         values[bad] = draw(st.sampled_from(FUZZ_VALUES[bad][1]))
+    config = None
+    encoding = draw(st.sampled_from([None] * 3 + sorted(_CONFIG_ENCODINGS)))
+    if encoding:
+        in_file = [k for k in values if draw(st.booleans())]
+        text = "".join(f"{k} = {values.pop(k)}\n" for k in in_file)
+        config = _CONFIG_ENCODINGS[encoding](text)
     argv = [draw(st.sampled_from(sorted(SUBCOMMANDS)))]
     flags = {f"--{k.replace('_', '-')}": v for k, v in values.items()}
     if draw(st.booleans()):  # the two-word form, --key value
-        return argv + [word for pair in flags.items() for word in pair]
-    return argv + [f"{flag}={v}" for flag, v in flags.items()]
+        return argv + [word for pair in flags.items() for word in pair], config
+    return argv + [f"{flag}={v}" for flag, v in flags.items()], config
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(argv=_cli_argv())
-def test_any_command_line_fails_cleanly_or_writes_finite_rows(argv):
+@given(case=_cli_argv())
+def test_any_command_line_fails_cleanly_or_writes_finite_rows(case, tmp_path_factory):
+    argv, config = case
+    if config is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+        path.write_bytes(config)
+        argv = [*argv, "--config", str(path)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = main(argv)
