@@ -89,7 +89,7 @@ _OBSERVABLES = {
     "f_noon": (0, _qutrit_state, lambda tdm: noon_fidelity(tdm)),
     "f_eq10": (0, _qutrit_state, lambda tdm: maximally_entangled_fidelity(tdm)),
 }
-_TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_\d+)*)")
+_TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*?)((?:_(?:0|[1-9]\d*))*)")
 _QUTRIT_OBS = tuple(k for k, v in _OBSERVABLES.items() if v[1] is _qutrit_state)
 
 
@@ -190,18 +190,18 @@ CONFIG_KEYS = {
 
 
 def _parse_pairs(text: str) -> dict:
-    pairs = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+    pairs, set_on = {}, {}
+    for lineno, stripped in enumerate(map(str.strip, text.splitlines()), start=1):
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
+        key, _, value = map(str.strip, stripped.partition("="))
         if key not in CONFIG_KEYS:
             raise UnknownKey(f"unknown configuration key {key!r}")
-        pairs[key] = value.strip()
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        pairs[key], set_on[key] = value, lineno
     return pairs
 
 

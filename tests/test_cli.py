@@ -18,7 +18,7 @@ from dcearray import oracle
 from dcearray.cli import (
     _COMMANDS, _OBSERVABLES, CONFIG_KEYS, SUBCOMMANDS, main, parse_config, run_sweep,
 )
-from dcearray.errors import MissingRequired, RangeError, UnknownKey
+from dcearray.errors import ConfigError, MissingRequired, RangeError, UnknownKey
 
 MINIMAL = "target_occupancy = 0.1\n"
 
@@ -68,6 +68,33 @@ def test_config_file_byte_order_mark_is_skipped(tmp_path, capsys):
     assert outputs[1] == outputs[0]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 2\nn = 3\n", "line 2: key 'n' is already set on line 1"),
+        ("n = 2\n# n = 3\n\nn = 2\n", "line 4: key 'n' is already set on line 1"),
+        ("phi_rad=0.5\nn = 2\n  phi_rad = 0.7  \n",
+         "line 3: key 'phi_rad' is already set on line 1"),
+    ],
+    ids=["next-line", "same-value-after-comment", "spacing"],
+)
+def test_config_key_set_twice_is_a_config_error(text, message, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text + MINIMAL)
+    config = tmp_path / "run.cfg"
+    config.write_text(text + MINIMAL + "theta_steps = 2\n")
+    assert main(["sweep", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_flags_override_the_file_and_the_last_flag_wins(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("observables = n_1\nda0_joule = 1e-26\ntheta_rad = 1\n")
+    args = ["sweep", "--config", str(config), "--observables", "n_1", "--observables", "n_2"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("# theta,phi,temperature_mk,n_2,error\n")
+
+
 def test_da0_and_target_are_exclusive():
     with pytest.raises(RangeError):
         parse_config("da0_joule = 1e-26\ntarget_occupancy = 0.1\n")
@@ -91,7 +118,7 @@ def test_theta_point_and_sweep_are_exclusive():
 @pytest.mark.parametrize(
     "token",
     ["g2_11", "n_1_2", "g2_1", "cs_violation_1", "entropy_1", "n_", "G2_1_1",
-     "f_noon_1"],
+     "f_noon_1", "n_01", "g2_1_02"],
 )
 def test_bad_observable_token(token, capsys):
     with pytest.raises(RangeError, match="unrecognized observable token"):
@@ -1436,10 +1463,12 @@ _CONFIG_ENCODINGS = {
 
 @st.composite
 def _cli_argv(draw):
-    """A subcommand, its config flags and the bytes of its config file (None:
-    no file): mostly an amplitude and one theta, up to four other keys, and
-    all values valid but at most one.  Some draws move some keys from the
-    flags to the file.  Every key of CONFIG_KEYS needs an entry in FUZZ_VALUES."""
+    """A subcommand, its config flags, the bytes of its config file (None:
+    no file) and the key that file sets twice (None: none): mostly an
+    amplitude and one theta, up to four other keys, and all values valid but
+    at most one.  Some draws move some keys from the flags to the file, and
+    some of those set one of its keys again, to a valid value.  Every key of
+    CONFIG_KEYS needs an entry in FUZZ_VALUES."""
     amplitude = draw(st.sampled_from(["target_occupancy", "da0_joule"] * 2 + [None]))
     angle = draw(st.sampled_from(["theta_rad", None]))
     keys = draw(st.lists(
@@ -1451,23 +1480,26 @@ def _cli_argv(draw):
     bad = draw(st.sampled_from([None] * 3 * len(CONFIG_KEYS) + list(CONFIG_KEYS)))
     if bad:
         values[bad] = draw(st.sampled_from(FUZZ_VALUES[bad][1]))
-    config = None
+    config = repeat = None
     encoding = draw(st.sampled_from([None] * 3 + sorted(_CONFIG_ENCODINGS)))
     if encoding:
         in_file = [k for k in values if draw(st.booleans())]
         text = "".join(f"{k} = {values.pop(k)}\n" for k in in_file)
+        repeat = draw(st.sampled_from([None] + [k for k in in_file if FUZZ_VALUES[k][0]]))
+        if repeat:
+            text += f"{repeat} = {draw(st.sampled_from(FUZZ_VALUES[repeat][0]))}\n"
         config = _CONFIG_ENCODINGS[encoding](text)
     argv = [draw(st.sampled_from(sorted(SUBCOMMANDS)))]
     flags = {f"--{k.replace('_', '-')}": v for k, v in values.items()}
     if draw(st.booleans()):  # the two-word form, --key value
-        return argv + [word for pair in flags.items() for word in pair], config
-    return argv + [f"{flag}={v}" for flag, v in flags.items()], config
+        return argv + [word for pair in flags.items() for word in pair], config, repeat
+    return argv + [f"{flag}={v}" for flag, v in flags.items()], config, repeat
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=_cli_argv())
 def test_any_command_line_fails_cleanly_or_writes_finite_rows(case, tmp_path_factory):
-    argv, config = case
+    argv, config, repeat = case
     if config is not None:
         path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
         path.write_bytes(config)
@@ -1477,6 +1509,8 @@ def test_any_command_line_fails_cleanly_or_writes_finite_rows(case, tmp_path_fac
         rc = main(argv)
     err = stderr.getvalue()
     assert "Traceback" not in err
+    if repeat:
+        assert rc == 1 and err.startswith("config error:"), err
     if rc == 1:
         assert err.startswith(("config error:", "error:")), err
         assert stdout.getvalue() == ""

@@ -83,3 +83,27 @@ def test_an_overflowing_run_prints_its_error_and_no_numpy_warning(args):
     assert run.returncode == 1 and run.stdout == b""
     lines = run.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["sweep", "--da0-joule", "1e-26", "--theta-steps", "20000"], 0),
+        # every 0 K point fails, so the run is partial
+        (["sweep", "--da0-joule", "0", "--temperature-mk", "0,25",
+          "--theta-steps", "20000"], 2),
+    ],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(args, code):
+    # megabytes of rows, more than a pipe buffer holds, so the write meets the closed pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "dcearray.cli", *args], env=ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        try:
+            assert proc.stdout.read(8) == b"# theta,"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == code
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
