@@ -14,4 +14,9 @@ from .lattice import *
 from .quantum_state import *
 from .spectral import *
 
+# The star imports bind each submodule here too, so __all__ keeps them and os out.
+__all__ = [
+    name for module in (constants, correlations, drive, lattice, quantum_state, spectral)
+    for name in module.__all__
+]
 __version__ = "0.1.0"

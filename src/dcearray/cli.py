@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
@@ -30,7 +31,6 @@ from .correlations import (
 from .drive import DriveParams, LineParams, calibrate_da0_over_grid, mode_response
 from .errors import (
     ConfigError,
-    CutoffTooSmall,
     DceArrayError,
     MissingRequired,
     NonFinite,
@@ -232,10 +232,6 @@ def parse_config(
     n = values["n"]
     if n < reads.min_n:
         raise RangeError(f"{command} needs n >= {reads.min_n}, got n = {n}")
-    try:
-        topology = values["topology"](n)
-    except RingTooSmall as exc:  # a rule of the n key
-        raise RangeError(str(exc)) from None
     da0, target = values.get("da0_joule"), values.get("target_occupancy")
     if da0 is not None and target is not None:
         raise RangeError("da0_joule and target_occupancy are mutually exclusive")
@@ -247,9 +243,19 @@ def parse_config(
             raise RangeError("theta_rad excludes theta_start/theta_end/theta_steps")
         thetas = np.array([values["theta_rad"]])
     else:
-        thetas = np.linspace(
-            values["theta_start"], values["theta_end"], values["theta_steps"]
-        )
+        steps = values["theta_steps"]
+        try:  # a size numpy cannot index is the key's error; one it cannot hold, MemoryError
+            thetas = np.linspace(values["theta_start"], values["theta_end"], steps)
+        except ValueError as exc:
+            raise RangeError(f"theta_steps = {steps} is too large: {exc}") from None
+    try:  # the n x n Laplacian can exist, checked before its edge list is built
+        np.empty((n, n))
+    except ValueError as exc:
+        raise RangeError(f"n = {n} is too large for an n x n array: {exc}") from None
+    try:
+        topology = values["topology"](n)
+    except RingTooSmall as exc:  # a rule of the n key
+        raise RangeError(str(exc)) from None
 
     temps = values["temperature_mk"]
     if not reads.grid and len(thetas) > 1:
@@ -475,9 +481,9 @@ def _run_calibrate(config: RunConfig) -> tuple:
     return _table("da0_joule,target_occupancy", [drive.da0], [config.target_occupancy])
 
 
-# oracle-check takes the first of these registers that holds the state, as
-# acceptance criterion 6 does; the last covers the corner of its box
-_ORACLE_CUTOFFS = (16, 20, 24, 28, 32)
+# oracle-check's one register: the top rung of acceptance criterion 6's ladder,
+# the one that holds the corner of that criterion's box
+_ORACLE_CUTOFF = 32
 
 
 def _run_oracle_check(config: RunConfig) -> tuple:
@@ -487,17 +493,9 @@ def _run_oracle_check(config: RunConfig) -> tuple:
     temp = config.temperatures[0] * 1e-3
     state = output_gaussian(modes, spectrum, temp)
     n_t = thermal_occupation(drive.omega_d / 2.0, temp)
-    for cutoff in _ORACLE_CUTOFFS:
-        try:
-            ref = oracle.build_state(
-                modes.eps, spectrum.modes, n_thermal=n_t, cutoff=cutoff,
-                deficit_tol=1e-6,
-            )
-            break
-        except CutoffTooSmall:
-            if cutoff == _ORACLE_CUTOFFS[-1]:
-                raise
-
+    ref = oracle.build_state(
+        modes.eps, spectrum.modes, n_thermal=n_t, cutoff=_ORACLE_CUTOFF, deficit_tol=1e-6
+    )
     moments = oracle.normal_moments(ref)  # keyed (dag_counts, low_counts)
     moment_err = 0.0
     for word in (
@@ -580,35 +578,37 @@ def main(argv=None) -> int:
             words.append(word)
     args = _PARSER.parse_args(words)
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-    try:
-        text = ""
-        if args.config:
-            try:
-                with open(args.config, encoding="utf-8-sig") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from None
-        config = parse_config(text, overrides, args.command)
-        if config.out:
-            # Append mode finds an unwritable out before the compute and keeps
-            # an existing file; a new one goes, so a failed run leaves none.
-            existed = os.path.exists(config.out)
-            _write(config.out, [], "a")
-            if not existed:
-                os.remove(config.out)
-        with np.errstate(all="ignore"):  # non-finite results fail their points or the run
-            chunks, failures = SUBCOMMANDS[args.command](config)
-        if config.out:
-            _write(config.out, chunks, "w")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DceArrayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # a config too large for this machine, n above all
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # each warning as one line, without its source
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            text = ""
+            if args.config:
+                try:
+                    with open(args.config, encoding="utf-8-sig") as fh:
+                        text = fh.read()
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise ConfigError(f"cannot read config file: {exc}") from None
+            config = parse_config(text, overrides, args.command)
+            if config.out:
+                # Append mode finds an unwritable out before the compute and keeps
+                # an existing file; a new one goes, so a failed run leaves none.
+                existed = os.path.exists(config.out)
+                _write(config.out, [], "a")
+                if not existed:
+                    os.remove(config.out)
+            with np.errstate(all="ignore"):  # non-finite results fail their points or the run
+                chunks, failures = SUBCOMMANDS[args.command](config)
+            if config.out:
+                _write(config.out, chunks, "w")
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+        except DceArrayError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # a config too large for this machine, n above all
+            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+            return 1
 
     if not config.out:
         try:

@@ -60,10 +60,14 @@ class ArrayTopology:
         if self.kind is TopologyKind.RING and self.n < 3:
             raise RingTooSmall(f"ring topology needs n >= 3, got n={self.n}")
         for i, j, w in self.edges:
+            if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+                raise ValueError(f"edge ({i},{j}) has a node index that is not an integer")
             if i == j:
                 raise ValueError(f"self-loop on node {i} is not allowed")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i},{j}) outside 0..{self.n - 1}")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({i},{j}) has weight {w}, which is not finite")
             if w < 0:
                 raise NegativeWeight(f"edge ({i},{j}) has weight {w} < 0")
 
@@ -121,6 +125,8 @@ def eigendecompose(lap: np.ndarray) -> LaplacianSpectrum:
     with the sign convention of :class:`LaplacianSpectrum`.
     """
     lap = np.asarray(lap, dtype=float)
+    if not np.isfinite(lap).all():
+        raise ValueError("input matrix is not finite")
     n = lap.shape[0]
     scale = max(1.0, float(np.abs(lap).max()))
     if lap.shape != (n, n) or np.abs(lap - lap.T).max() > 1e-12 * scale:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dcearray import oracle
@@ -49,6 +50,22 @@ ARGUMENT_CHECKS = {
     "topology-edge": (
         lambda: ArrayTopology.custom(2, [(0, 2, 1.0)]),
         r"edge \(0,2\) outside 0..1",
+    ),
+    "topology-node-index": (
+        lambda: ArrayTopology.custom(3, [(0, 0.5, 1.0)]),
+        r"edge \(0,0.5\) has a node index that is not an integer",
+    ),
+    "topology-nan-weight": (
+        lambda: ArrayTopology.custom(3, [(0, 1, math.nan), (1, 2, 1.0)]),
+        r"edge \(0,1\) has weight nan, which is not finite",
+    ),
+    "topology-inf-weight": (
+        lambda: ArrayTopology.custom(3, [(0, 1, 1.0), (1, 2, math.inf)]),
+        r"edge \(1,2\) has weight inf, which is not finite",
+    ),
+    "eigendecompose-nan": (
+        lambda: eigendecompose(np.array([[math.nan, 0.0], [0.0, 1.0]])),
+        "input matrix is not finite",
     ),
     "thermal-occupation": (
         lambda: thermal_occupation(1.0, -1e-3), "temperature must be non-negative"

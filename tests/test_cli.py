@@ -455,10 +455,9 @@ def test_oracle_check_subcommand(tmp_path):
 
 
 def test_oracle_check_escalates_its_cutoff(tmp_path, monkeypatch):
-    # a state that fits cutoff 16 keeps it; a stronger, warmer one takes the
-    # first register whose top level holds at most 1e-6 (cutoff 28, where
-    # the top level holds 1.9e-7).  There the fourth moments still carry
-    # the register's truncation, 2.4e-6; cutoff 32 would give 3.5e-7.
+    # a weak cold state and a strong warm one each take the one register of
+    # cutoff 32; there the warm state's fourth moments carry 3.5e-7 of the
+    # register's truncation, where the first register that held it (28) gave 2.4e-6
     cutoffs = []
     build = oracle.build_state
 
@@ -468,22 +467,34 @@ def test_oracle_check_escalates_its_cutoff(tmp_path, monkeypatch):
 
     monkeypatch.setattr(oracle, "build_state", counted)
     hot = ["--target-occupancy", "0.3", "--theta-rad", "1.3", "--temperature-mk", "25"]
-    for args, tried, moment_tol in (
-        (["--target-occupancy", "0.1", "--theta-rad", "0.6"], [16], 1e-6),
-        (hot, [16, 20, 24, 28], 3e-6),
-    ):
+    for args in (["--target-occupancy", "0.1", "--theta-rad", "0.6"], hot):
         cutoffs.clear()
         out = tmp_path / "oc.csv"
         assert main(["oracle-check", *args, "--out", str(out)]) == 0
-        assert cutoffs == tried
+        assert cutoffs == [32]
         moment_err, rho_err = map(float, out.read_text().splitlines()[1].split(","))
-        assert moment_err <= moment_tol
+        assert moment_err <= 1e-6
         assert rho_err <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "target, theta, t_mk",
+    [(0.3, 2.6778, 40), (0.3, 0.7444, 40), (0.2, 0.9, 40), (0.3, 1.3, 25)],
+)
+def test_oracle_check_error_is_below_its_tolerance_across_the_box(target, theta, t_mk, capsys):
+    # the worst points of an occupancy x theta x T grid of criterion 6's box,
+    # where a register just large enough to hold the state read up to 9.6e-6
+    args = ["oracle-check", "--target-occupancy", str(target), "--theta-rad", str(theta),
+            "--temperature-mk", str(t_mk)]
+    assert main(args) == 0
+    moment_err, rho_err = map(float, capsys.readouterr().out.splitlines()[1].split(","))
+    assert moment_err <= 1e-6
+    assert rho_err <= 1e-12
 
 
 def test_oracle_check_builds_no_dense_register(tmp_path, monkeypatch):
     # the moments come from the per-mode tables, so the dense rho, a_ops
-    # and register ladders of the warm cutoff-28 state are never formed
+    # and register ladders of the warm cutoff-32 register are never formed
     states = []
     build = oracle.build_state
 
@@ -1212,7 +1223,7 @@ def _oracle_check_lines(theta, target, t_mk):
     temp = t_mk * 1e-3
     state = output_gaussian(modes, spectrum, temp)
     ref = oracle.build_state(
-        modes.eps, spectrum.modes, cutoff=28, deficit_tol=1e-6,
+        modes.eps, spectrum.modes, cutoff=32, deficit_tol=1e-6,
         n_thermal=thermal_occupation(modes.omega_d / 2.0, temp),
     )
     moments = oracle.normal_moments(ref)

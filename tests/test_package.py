@@ -29,3 +29,24 @@ def test_package_exports_exactly_its_modules_public_names():
     public, declared, unresolved = json.loads(out.stdout)
     assert public == sorted(n for names in declared.values() for n in names)
     assert unresolved == []
+
+
+def test_star_import_binds_the_modules_public_names_and_no_module():
+    code = (
+        "import importlib, json, types\n"
+        "from dcearray import *\n"
+        "bound = {n: v for n, v in globals().items() if not n.startswith('_')}\n"
+        f"declared = [n for m in {MODULES}\n"
+        "            for n in importlib.import_module('dcearray.' + m).__all__]\n"
+        "modules = sorted(n for n, v in bound.items() if isinstance(v, types.ModuleType))\n"
+        "print(json.dumps([sorted(bound), sorted(declared), modules]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    bound, declared, modules = json.loads(out.stdout)
+    assert sorted(set(bound) - {"importlib", "json", "types"}) == declared
+    assert modules == ["importlib", "json", "types"]

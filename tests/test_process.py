@@ -6,6 +6,7 @@ already, so its own process shows the CLI's GC state, not a bare import's.
 
 import ast
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +108,40 @@ def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(args, code):
             assert proc.stderr.read() == b""
         finally:
             proc.kill()
+
+
+def _cap_address_space():
+    # 2 GiB: a size that escapes its check then fails here, not on the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "args, first_words",
+    [
+        (["--theta-steps", "99999999999999999999"], "config error: theta_steps = "),
+        (["--theta-rad", "1", "--n", "99999999999999999999"], "config error: n = "),
+        (["--theta-rad", "1", "--n", "9999999999"], "config error: n = "),
+        (["--theta-rad", "1", "--n", "100000000"], "error: out of memory: Unable to allocate"),
+    ],
+    ids=["theta-steps-unindexable", "n-unindexable", "n-too-big", "n-unallocatable"],
+)
+def test_a_size_numpy_cannot_hold_fails_at_once(args, first_words):
+    # before the edge list of n - 1 tuples is built, which took seconds and
+    # gigabytes for these n; run only under the cap, never without it
+    run = subprocess.run(
+        [sys.executable, "-m", "dcearray.cli", "sweep", "--da0-joule", "1e-26", *args],
+        env=ENV, capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert run.returncode == 1 and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_words), lines
+
+
+def test_the_cli_prints_each_warning_as_one_line():
+    args = ["entangle", "--theta-steps", "3", "--temperature-mk", "25",
+            "--a0-joule", "1e-25", "--da0-joule", "3e-25"]
+    run = _python(["-m", "dcearray.cli", *args], check=False)
+    assert run.returncode == 2
+    lines = run.stderr.decode().splitlines()
+    assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines), lines
