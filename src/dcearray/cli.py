@@ -18,6 +18,7 @@ import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     UnknownKey,
     with_errors,
 )
-from .lattice import ArrayTopology, build_laplacian, eigendecompose
+from .lattice import ArrayTopology, LaplacianSpectrum, build_laplacian, eigendecompose
 from .quantum_state import (
     density_matrix,
     maximally_entangled_fidelity,
@@ -303,13 +304,25 @@ def _fmt(value) -> str:
     return "%.17g" % value
 
 
+@lru_cache(maxsize=2)
+def _spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
+    """The array's spectrum, solved once per process for the last two arrays.
+
+    Later runs over a kept array share its read-only arrays, so they write
+    the same bytes; the memo holds at most two spectra of (n^2 + n) floats.
+    """
+    spectrum = eigendecompose(build_laplacian(topology))
+    spectrum.lambdas.flags.writeable = spectrum.modes.flags.writeable = False
+    return spectrum
+
+
 def _prepare(config: RunConfig) -> tuple:
     """The preamble of every subcommand: (spectrum, drive, modes), once.
 
     The drive is the config's, its da0 calibrated over its theta when the
     config sets a target occupancy.
     """
-    spectrum = eigendecompose(build_laplacian(config.topology))
+    spectrum = _spectrum(config.topology)
     if config.target_occupancy is None:
         return spectrum, config.drive, mode_response(config.drive, config.line, spectrum)
     return spectrum, *calibrate_da0_over_grid(

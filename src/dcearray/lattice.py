@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+def _waveguides(n) -> int:
+    """``n`` itself, if it is an integer (bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"number of waveguides n={n!r} is not an integer")
+    return n
+
+
 class TopologyKind(enum.Enum):
     OPEN_CHAIN = "open_chain"
     RING = "ring"
@@ -55,7 +62,7 @@ class ArrayTopology:
     edges: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        if _waveguides(self.n) < 1:
             raise ValueError(f"need at least one waveguide, got n={self.n}")
         if self.kind is TopologyKind.RING and self.n < 3:
             raise RingTooSmall(f"ring topology needs n >= 3, got n={self.n}")
@@ -73,11 +80,13 @@ class ArrayTopology:
 
     @classmethod
     def open_chain(cls, n: int) -> "ArrayTopology":
-        return cls(TopologyKind.OPEN_CHAIN, n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
+        edges = tuple((i, i + 1, 1.0) for i in range(_waveguides(n) - 1))
+        return cls(TopologyKind.OPEN_CHAIN, n, edges)
 
     @classmethod
     def ring(cls, n: int) -> "ArrayTopology":
-        return cls(TopologyKind.RING, n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+        edges = tuple((i, (i + 1) % n, 1.0) for i in range(_waveguides(n)))
+        return cls(TopologyKind.RING, n, edges)
 
     @classmethod
     def custom(cls, n: int, edges) -> "ArrayTopology":
@@ -125,6 +134,8 @@ def eigendecompose(lap: np.ndarray) -> LaplacianSpectrum:
     with the sign convention of :class:`LaplacianSpectrum`.
     """
     lap = np.asarray(lap, dtype=float)
+    if lap.ndim != 2 or lap.size == 0:
+        raise ValueError(f"input matrix has shape {lap.shape}, not a non-empty 2-D array")
     if not np.isfinite(lap).all():
         raise ValueError("input matrix is not finite")
     n = lap.shape[0]

@@ -47,6 +47,14 @@ ARGUMENT_CHECKS = {
         lambda: ArrayTopology(TopologyKind.OPEN_CHAIN, 0, ()),
         "need at least one waveguide, got n=0",
     ),
+    "topology-float-n": (
+        lambda: ArrayTopology.custom(2.5, [(0, 1, 1.0)]),
+        "number of waveguides n=2.5 is not an integer",
+    ),
+    "topology-bool-n": (
+        lambda: ArrayTopology.open_chain(True),
+        "number of waveguides n=True is not an integer",
+    ),
     "topology-edge": (
         lambda: ArrayTopology.custom(2, [(0, 2, 1.0)]),
         r"edge \(0,2\) outside 0..1",
@@ -66,6 +74,14 @@ ARGUMENT_CHECKS = {
     "eigendecompose-nan": (
         lambda: eigendecompose(np.array([[math.nan, 0.0], [0.0, 1.0]])),
         "input matrix is not finite",
+    ),
+    "eigendecompose-scalar": (
+        lambda: eigendecompose(np.float64(1.0)),
+        r"input matrix has shape \(\), not a non-empty 2-D array",
+    ),
+    "eigendecompose-empty": (
+        lambda: eigendecompose(np.zeros((0, 0))),
+        r"input matrix has shape \(0, 0\), not a non-empty 2-D array",
     ),
     "thermal-occupation": (
         lambda: thermal_occupation(1.0, -1e-3), "temperature must be non-negative"

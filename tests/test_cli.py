@@ -23,6 +23,17 @@ from dcearray.errors import ConfigError, MissingRequired, RangeError, UnknownKey
 MINIMAL = "target_occupancy = 0.1\n"
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_spectrum():
+    """Each test starts and ends with the CLI's spectrum memo empty, so no
+    result, count or premature computation depends on test order."""
+    import dcearray.cli as cli
+
+    cli._spectrum.cache_clear()
+    yield
+    cli._spectrum.cache_clear()
+
+
 def _sweep_lines(cfg):
     """run_sweep's CSV as lines, and its failure count."""
     chunks, failures = run_sweep(cfg)
@@ -577,6 +588,7 @@ def test_qutrit_observables_need_two_guides(args, capsys):
 
 
 def test_out_in_missing_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the memo starts empty, so a kept spectrum cannot hide an early solve
     import dcearray.cli as cli
 
     def no_compute(*_):
@@ -689,6 +701,30 @@ def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, "eigendecompose", "calibrate_da0_over_grid")
     assert main(ENTANGLE_POINT + ["--out", str(tmp_path / "ent.csv")]) == 0
     assert calls == {"eigendecompose": 1, "calibrate_da0_over_grid": 1}
+
+
+def test_one_process_solves_each_array_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "eigendecompose")
+    outs = [tmp_path / f"{k}.csv" for k in range(3)]
+    sweep = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "7"]
+    ring = ["--topology", "ring", "--n", "5"]
+    solves = []
+    for args, out in zip(([], [], ring), outs):
+        assert main(sweep + args + ["--out", str(out)]) == 0
+        solves.append(calls["eigendecompose"])
+    assert solves == [1, 1, 2]
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
+
+def test_kept_spectrum_is_read_only():
+    import dcearray.cli as cli
+
+    spectrum = cli._spectrum(parse_config(MINIMAL).topology)
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum.modes[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum.lambdas[0] = 0.0
+    assert cli._spectrum(parse_config(MINIMAL).topology) is spectrum
 
 
 def test_entangle_point_evaluates_its_state_once(tmp_path, monkeypatch):

@@ -91,6 +91,8 @@ def test_ring_three_eigenvalues():
 def test_not_symmetric_rejected():
     with pytest.raises(NotSymmetric):
         eigendecompose(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(NotSymmetric):
+        eigendecompose(np.zeros((2, 3)))
 
 
 def test_analytic_open_chain_two():
