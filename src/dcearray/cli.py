@@ -40,7 +40,14 @@ from .errors import (
     UnknownKey,
     with_errors,
 )
-from .lattice import ArrayTopology, LaplacianSpectrum, build_laplacian, eigendecompose
+from .lattice import (
+    ArrayTopology,
+    LaplacianSpectrum,
+    TopologyKind,
+    analytic_spectrum,
+    build_laplacian,
+    eigendecompose,
+)
 from .quantum_state import (
     density_matrix,
     maximally_entangled_fidelity,
@@ -306,12 +313,17 @@ def _fmt(value) -> str:
 
 @lru_cache(maxsize=2)
 def _spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
-    """The array's spectrum, solved once per process for the last two arrays.
+    """The array's spectrum, formed once per process for the last two arrays.
 
-    Later runs over a kept array share its read-only arrays, so they write
-    the same bytes; the memo holds at most two spectra of (n^2 + n) floats.
+    A ring's is its closed form, which fixes the cosine/sine modes of each
+    degenerate pair; every other array is diagonalized with ``eigh``.  Later
+    runs over a kept array share its read-only arrays, so they write the
+    same bytes; the memo holds at most two spectra of (n^2 + n) floats.
     """
-    spectrum = eigendecompose(build_laplacian(topology))
+    if topology.kind is TopologyKind.RING:
+        spectrum = analytic_spectrum(topology)
+    else:
+        spectrum = eigendecompose(build_laplacian(topology))
     spectrum.lambdas.flags.writeable = spectrum.modes.flags.writeable = False
     return spectrum
 

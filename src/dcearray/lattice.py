@@ -5,15 +5,17 @@ open chains hold the unit-weight path graph, rings the cycle graph, and
 arbitrary weighted graphs are accepted for defect studies.  Normal modes
 of the boundary dynamics are the Laplacian eigenvectors; every downstream
 observable is a function of the eigenvalues ``lambda_n`` and the real
-orthogonal mode coefficients ``c[n][i]``.  ``eigendecompose`` obtains
-them from LAPACK (``numpy.linalg.eigh``); ``analytic_spectrum`` gives the
-closed forms for chains and rings as an independent cross-check.
+orthogonal mode coefficients ``c[n][i]``.  ``analytic_spectrum`` gives
+the closed forms of chains and rings, and the CLI takes a ring's spectrum
+from it; ``eigendecompose`` obtains every other spectrum from LAPACK
+(``numpy.linalg.eigh``), and each checks the other in the tests.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +68,12 @@ class ArrayTopology:
             raise ValueError(f"need at least one waveguide, got n={self.n}")
         if self.kind is TopologyKind.RING and self.n < 3:
             raise RingTooSmall(f"ring topology needs n >= 3, got n={self.n}")
-        for i, j, w in self.edges:
+        for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 3):
+                raise ValueError(f"edge {edge!r} is not an (i, j, weight) triple")
+            i, j, w = edge
+            if not isinstance(w, numbers.Real):
+                raise ValueError(f"edge {edge!r} has weight {w!r}, which is not a real number")
             if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
                 raise ValueError(f"edge ({i},{j}) has a node index that is not an integer")
             if i == j:
@@ -133,6 +140,8 @@ def eigendecompose(lap: np.ndarray) -> LaplacianSpectrum:
     Eigenvalues come out ascending; ``modes[n]`` is the n-th eigenvector
     with the sign convention of :class:`LaplacianSpectrum`.
     """
+    if np.iscomplexobj(lap):
+        raise ValueError("input matrix is complex; only a real symmetric matrix is diagonalized")
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.size == 0:
         raise ValueError(f"input matrix has shape {lap.shape}, not a non-empty 2-D array")
@@ -147,17 +156,19 @@ def eigendecompose(lap: np.ndarray) -> LaplacianSpectrum:
 
 
 def analytic_spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
-    """Closed-form Laplacian spectrum for open chains and rings.
+    """Closed-form Laplacian spectrum for open chains and rings, ascending.
 
     Open chain: lambda_k = 2 - 2 cos(k pi / N) with cosine eigenvectors.
-    Ring: lambda_k = 2 - 2 cos(2 pi k / N) with cosine/sine pairs.
-    Serves as the independent cross-check for ``eigendecompose``.
+    Ring: lambda_q = 2 - 2 cos(2 pi q / N) with a cosine/sine pair per
+    0 < q < N / 2.  The CLI takes a ring's spectrum from here: ``eigh`` would
+    return an arbitrary rotation inside each degenerate pair, in O(N^3).
+    ``eigendecompose`` is the independent cross-check of both forms.
     """
     n = topology.n
+    i = np.arange(n)
     if topology.kind is TopologyKind.OPEN_CHAIN:
         lambdas = np.array([2.0 - 2.0 * math.cos(k * math.pi / n) for k in range(n)])
         modes = np.zeros((n, n))
-        i = np.arange(n)
         for k in range(n):
             if k == 0:
                 modes[k] = 1.0 / math.sqrt(n)
@@ -165,26 +176,19 @@ def analytic_spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
                 modes[k] = math.sqrt(2.0 / n) * np.cos(
                     k * math.pi * (2 * i + 1) / (2.0 * n)
                 )
-        order = np.argsort(lambdas, kind="stable")
     elif topology.kind is TopologyKind.RING:
-        i = np.arange(n)
-        rows = []
-        lams = []
-        rows.append(np.full(n, 1.0 / math.sqrt(n)))
-        lams.append(0.0)
-        for k in range(1, n // 2 + 1):
-            lam = 2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)
-            if 2 * k == n:  # alternating mode, only for even n
-                rows.append(np.array([(-1.0) ** ii for ii in i]) / math.sqrt(n))
-                lams.append(lam)
-            else:
-                rows.append(math.sqrt(2.0 / n) * np.cos(2.0 * math.pi * k * i / n))
-                lams.append(lam)
-                rows.append(math.sqrt(2.0 / n) * np.sin(2.0 * math.pi * k * i / n))
-                lams.append(lam)
-        lambdas = np.array(lams)
-        modes = np.array(rows)
-        order = np.argsort(lambdas, kind="stable")
+        # row k holds q = (k + 1) // 2: the cosine for odd k, the sine for even k > 0
+        q = (i + 1) // 2
+        angle = 2.0 * math.pi * i / n
+        cos, sin = np.cos(angle), np.sin(angle)
+        phase = np.outer(q, i) % n  # q i mod n indexes the tables of 2 pi m / n
+        modes = np.empty((n, n))
+        modes[0] = 1.0 / math.sqrt(n)
+        modes[1::2] = math.sqrt(2.0 / n) * cos[phase[1::2]]
+        modes[2::2] = math.sqrt(2.0 / n) * sin[phase[2::2]]
+        if n % 2 == 0:  # the alternating mode, q = n / 2
+            modes[-1] = (1 - 2 * (i % 2)) / math.sqrt(n)
+        lambdas = 2.0 - 2.0 * cos[q]
     else:
         raise UnsupportedTopology("no closed-form spectrum for custom graphs")
-    return LaplacianSpectrum(lambdas=lambdas[order], modes=_fix_signs(modes[order]))
+    return LaplacianSpectrum(lambdas=lambdas, modes=_fix_signs(modes))

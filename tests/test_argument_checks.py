@@ -71,6 +71,22 @@ ARGUMENT_CHECKS = {
         lambda: ArrayTopology.custom(3, [(0, 1, 1.0), (1, 2, math.inf)]),
         r"edge \(1,2\) has weight inf, which is not finite",
     ),
+    "topology-str-weight": (
+        lambda: ArrayTopology.custom(2, [(0, 1, "1")]),
+        r"edge \(0, 1, '1'\) has weight '1', which is not a real number",
+    ),
+    "topology-complex-weight": (
+        lambda: ArrayTopology.custom(2, [(0, 1, 1j)]),
+        r"edge \(0, 1, 1j\) has weight 1j, which is not a real number",
+    ),
+    "topology-pair-edge": (
+        lambda: ArrayTopology.custom(2, [(0, 1)]),
+        r"edge \(0, 1\) is not an \(i, j, weight\) triple",
+    ),
+    "eigendecompose-complex": (
+        lambda: eigendecompose(np.array([[1, 1j], [-1j, 1]])),
+        "input matrix is complex; only a real symmetric matrix is diagonalized",
+    ),
     "eigendecompose-nan": (
         lambda: eigendecompose(np.array([[math.nan, 0.0], [0.0, 1.0]])),
         "input matrix is not finite",

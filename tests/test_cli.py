@@ -704,16 +704,28 @@ def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
 
 
 def test_one_process_solves_each_array_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, "eigendecompose")
+    calls = _count_calls(monkeypatch, "eigendecompose", "analytic_spectrum")
     outs = [tmp_path / f"{k}.csv" for k in range(3)]
     sweep = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "7"]
     ring = ["--topology", "ring", "--n", "5"]
     solves = []
     for args, out in zip(([], [], ring), outs):
         assert main(sweep + args + ["--out", str(out)]) == 0
-        solves.append(calls["eigendecompose"])
+        solves.append(calls["eigendecompose"] + calls["analytic_spectrum"])
     assert solves == [1, 1, 2]
     assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
+
+@pytest.mark.parametrize("topology, expected", [
+    ("ring", {"eigendecompose": 0, "build_laplacian": 0, "analytic_spectrum": 1}),
+    ("open_chain", {"eigendecompose": 1, "build_laplacian": 1, "analytic_spectrum": 0}),
+], ids=["ring", "open_chain"])
+def test_ring_spectrum_is_its_closed_form(tmp_path, monkeypatch, topology, expected):
+    calls = _count_calls(monkeypatch, *expected)
+    argv = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "7",
+            "--topology", topology, "--n", "6", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert calls == expected
 
 
 def test_kept_spectrum_is_read_only():
@@ -1201,14 +1213,15 @@ def test_table_rows_come_in_blocks_with_the_same_bytes(command, config, referenc
 
 
 def _calibrated_point(topology, theta, target):
-    """(spectrum, line, drive, modes) of the CLI defaults, calibrated at ``theta``.
+    """(spectrum, line, drive, modes) of the CLI defaults and the CLI's spectrum,
+    calibrated at ``theta``.
 
     ``theta`` is one angle, or an array of them that the drive runs as a batch.
     """
+    import dcearray.cli as cli
     from dcearray.drive import DriveParams, LineParams, calibrate_da0_over_grid
-    from dcearray.lattice import build_laplacian, eigendecompose
 
-    spectrum = eigendecompose(build_laplacian(topology))
+    spectrum = cli._spectrum(topology)
     line = LineParams(z0=55.0)
     seed = DriveParams(a0=1e-23, da0=1e-23 * 1e-3, phi=math.pi / 4.0, theta=theta,
                        omega_d=2.0 * math.pi * 10.3e9)

@@ -117,16 +117,31 @@ def test_analytic_rejects_custom_graph():
         analytic_spectrum(ArrayTopology.custom(3, [(0, 1, 1.0)]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 64, 128, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 13, 31, 64, 127, 128, 256])
 @pytest.mark.parametrize("kind", ["open_chain", "ring"])
 def test_jacobi_matches_analytic_eigenvalues(kind, n):
     if kind == "ring" and n < 3:
         pytest.skip("ring needs n >= 3")
     maker = getattr(ArrayTopology, kind)
     top = maker(n)
-    jac = eigendecompose(build_laplacian(top))
+    lap = build_laplacian(top)
+    jac = eigendecompose(lap)
     ana = analytic_spectrum(top)
     assert np.max(np.abs(jac.lambdas - ana.lambdas)) < 1e-10
+    # eigenvalues alone do not fix the modes; every guide-pair sum
+    # sum_n c_n^i c_n^j f(lambda_n) does, even inside a degenerate pair
+    pair_sums = [(s.modes.T * np.exp(-s.lambdas)) @ s.modes for s in (ana, jac)]
+    assert np.max(np.abs(pair_sums[0] - pair_sums[1])) <= 1e-13
+    assert np.max(np.abs(ana.modes @ ana.modes.T - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(lap @ ana.modes.T - ana.modes.T * ana.lambdas)) <= 1e-12
+    if kind == "ring":  # the cosine and sine of each 0 < q < n / 2 share lambda
+        pairs = ana.lambdas[1 : n - (n % 2 == 0)]
+        assert np.array_equal(pairs[0::2], pairs[1::2])
+        assert np.all(np.diff(ana.lambdas) >= 0.0)
+    else:
+        assert np.all(np.diff(ana.lambdas) > 0.0)
+    for row in ana.modes:
+        assert row[int(np.argmax(np.abs(row)))] > 0
 
 
 @pytest.mark.parametrize("n", [2, 5, 17])
