@@ -40,14 +40,7 @@ from .errors import (
     UnknownKey,
     with_errors,
 )
-from .lattice import (
-    ArrayTopology,
-    LaplacianSpectrum,
-    TopologyKind,
-    analytic_spectrum,
-    build_laplacian,
-    eigendecompose,
-)
+from .lattice import ArrayTopology, LaplacianSpectrum, analytic_spectrum
 from .quantum_state import (
     density_matrix,
     maximally_entangled_fidelity,
@@ -315,15 +308,13 @@ def _fmt(value) -> str:
 def _spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
     """The array's spectrum, formed once per process for the last two arrays.
 
-    A ring's is its closed form, which fixes the cosine/sine modes of each
-    degenerate pair; every other array is diagonalized with ``eigh``.  Later
-    runs over a kept array share its read-only arrays, so they write the
-    same bytes; the memo holds at most two spectra of (n^2 + n) floats.
+    Every CLI array is an open chain or a ring, and each takes its closed
+    form, so the CLI solves no eigenproblem; a ring's fixes the cosine/sine
+    modes of each degenerate pair.  Later runs over a kept array share its
+    read-only arrays, so they write the same bytes; the memo holds at most
+    two spectra of (n^2 + n) floats.
     """
-    if topology.kind is TopologyKind.RING:
-        spectrum = analytic_spectrum(topology)
-    else:
-        spectrum = eigendecompose(build_laplacian(topology))
+    spectrum = analytic_spectrum(topology)
     spectrum.lambdas.flags.writeable = spectrum.modes.flags.writeable = False
     return spectrum
 

@@ -37,6 +37,12 @@ PERTURBATIVE_RATIO = 0.1
 PHASE_VELOCITY = 1.2e8
 
 
+def _finite(name: str, value) -> None:
+    """Reject a value that is not finite, which passes every ``x <= 0`` check."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Static amplitude, modulation amplitude, mixing angles and drive frequency."""
@@ -48,6 +54,8 @@ class DriveParams:
     omega_d: float   # rad/s
 
     def __post_init__(self):
+        for name in ("a0", "da0", "phi", "omega_d"):
+            _finite(name, getattr(self, name))
         if self.a0 <= 0:
             raise ValueError(f"a0 must be positive, got {self.a0}")
         if self.da0 < 0:
@@ -69,6 +77,7 @@ class LineParams:
     z0: float   # ohm
 
     def __post_init__(self):
+        _finite("z0", self.z0)
         if self.z0 <= 0:
             raise ValueError(f"z0 must be positive, got {self.z0}")
 

@@ -6,9 +6,10 @@ arbitrary weighted graphs are accepted for defect studies.  Normal modes
 of the boundary dynamics are the Laplacian eigenvectors; every downstream
 observable is a function of the eigenvalues ``lambda_n`` and the real
 orthogonal mode coefficients ``c[n][i]``.  ``analytic_spectrum`` gives
-the closed forms of chains and rings, and the CLI takes a ring's spectrum
-from it; ``eigendecompose`` obtains every other spectrum from LAPACK
-(``numpy.linalg.eigh``), and each checks the other in the tests.
+the closed forms of chains and rings, the only arrays the CLI runs, so the
+CLI takes every spectrum from it; ``eigendecompose`` diagonalizes any other
+graph with LAPACK (``numpy.linalg.eigh``), and each checks the other in the
+tests.
 """
 
 from __future__ import annotations
@@ -160,22 +161,22 @@ def analytic_spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
 
     Open chain: lambda_k = 2 - 2 cos(k pi / N) with cosine eigenvectors.
     Ring: lambda_q = 2 - 2 cos(2 pi q / N) with a cosine/sine pair per
-    0 < q < N / 2.  The CLI takes a ring's spectrum from here: ``eigh`` would
-    return an arbitrary rotation inside each degenerate pair, in O(N^3).
-    ``eigendecompose`` is the independent cross-check of both forms.
+    0 < q < N / 2.  Both cost O(N^2), against O(N^3) for ``eigh``, which
+    would also return an arbitrary rotation inside each degenerate ring pair;
+    the CLI takes every spectrum from here.  ``eigendecompose`` is the
+    independent cross-check of both forms.
     """
     n = topology.n
     i = np.arange(n)
     if topology.kind is TopologyKind.OPEN_CHAIN:
-        lambdas = np.array([2.0 - 2.0 * math.cos(k * math.pi / n) for k in range(n)])
-        modes = np.zeros((n, n))
-        for k in range(n):
-            if k == 0:
-                modes[k] = 1.0 / math.sqrt(n)
-            else:
-                modes[k] = math.sqrt(2.0 / n) * np.cos(
-                    k * math.pi * (2 * i + 1) / (2.0 * n)
-                )
+        # row k is cos(k pi (2 i + 1) / 2N), k = 0 the constant mode; formed in
+        # place, since (N, N) temporaries nearly double its time at N = 2047
+        modes = np.outer(i * math.pi, 2 * i + 1)
+        modes /= 2.0 * n
+        np.cos(modes, out=modes)
+        modes *= math.sqrt(2.0 / n)
+        modes[0] = 1.0 / math.sqrt(n)
+        lambdas = 2.0 - 2.0 * np.cos(i * math.pi / n)
     elif topology.kind is TopologyKind.RING:
         # row k holds q = (k + 1) // 2: the cosine for odd k, the sine for even k > 0
         q = (i + 1) // 2

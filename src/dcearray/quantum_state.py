@@ -72,6 +72,8 @@ def thermal_occupation(omega, temperature: float):
 
     Zero at T = 0, at omega <= 0 and where hbar omega / k_B T exceeds 700.
     """
+    if not math.isfinite(temperature):
+        raise ValueError(f"temperature must be finite, got {temperature}")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     omega = np.asarray(omega, dtype=float)

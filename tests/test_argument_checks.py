@@ -35,6 +35,14 @@ ARGUMENT_CHECKS = {
     "drive-a0": (lambda: _drive(a0=0.0), "a0 must be positive"),
     "drive-da0": (lambda: _drive(da0=-1e-25), "da0 must be non-negative"),
     "drive-omega-d": (lambda: _drive(omega_d=0.0), "omega_d must be positive"),
+    "drive-nan-a0": (lambda: _drive(a0=math.nan), "a0 must be finite, got nan"),
+    "drive-inf-a0": (lambda: _drive(a0=math.inf), "a0 must be finite, got inf"),
+    "drive-nan-da0": (lambda: _drive(da0=math.nan), "da0 must be finite, got nan"),
+    "drive-nan-phi": (lambda: _drive(phi=math.nan), "phi must be finite, got nan"),
+    "drive-inf-phi": (lambda: _drive(phi=-math.inf), "phi must be finite, got -inf"),
+    "drive-nan-omega-d": (lambda: _drive(omega_d=math.nan), "omega_d must be finite, got nan"),
+    "line-z0": (lambda: LineParams(z0=0.0), "z0 must be positive"),
+    "line-nan-z0": (lambda: LineParams(z0=math.nan), "z0 must be finite, got nan"),
     "calibrate-target": (
         lambda: calibrate_da0_over_grid(_drive(), LINE, SPEC2, 1.0),
         r"target occupancy must lie in \(0, 1\)",
@@ -101,6 +109,12 @@ ARGUMENT_CHECKS = {
     ),
     "thermal-occupation": (
         lambda: thermal_occupation(1.0, -1e-3), "temperature must be non-negative"
+    ),
+    "thermal-occupation-nan": (
+        lambda: thermal_occupation(1.0, math.nan), "temperature must be finite, got nan"
+    ),
+    "thermal-occupation-inf": (
+        lambda: thermal_occupation(1.0, math.inf), "temperature must be finite, got inf"
     ),
     "wick-mode": (
         lambda: wick_moment(_state(SPEC2), [(2, True)]), "mode index 2 outside 0..1"

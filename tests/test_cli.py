@@ -594,7 +594,7 @@ def test_out_in_missing_directory_is_a_config_error(tmp_path, capsys, monkeypatc
     def no_compute(*_):
         raise AssertionError("computed before rejecting the output path")
 
-    monkeypatch.setattr(cli, "eigendecompose", no_compute)
+    monkeypatch.setattr(cli, "analytic_spectrum", no_compute)
     out = tmp_path / "missing" / "x.csv"
     assert main(["sweep", "--target-occupancy", "0.1", "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
@@ -698,34 +698,95 @@ ENTANGLE_POINT = [
 
 
 def test_entangle_point_prepares_spectrum_and_drive_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, "eigendecompose", "calibrate_da0_over_grid")
+    calls = _count_calls(monkeypatch, "analytic_spectrum", "calibrate_da0_over_grid")
     assert main(ENTANGLE_POINT + ["--out", str(tmp_path / "ent.csv")]) == 0
-    assert calls == {"eigendecompose": 1, "calibrate_da0_over_grid": 1}
+    assert calls == {"analytic_spectrum": 1, "calibrate_da0_over_grid": 1}
 
 
 def test_one_process_solves_each_array_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, "eigendecompose", "analytic_spectrum")
+    calls = _count_calls(monkeypatch, "analytic_spectrum")
     outs = [tmp_path / f"{k}.csv" for k in range(3)]
     sweep = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "7"]
     ring = ["--topology", "ring", "--n", "5"]
     solves = []
     for args, out in zip(([], [], ring), outs):
         assert main(sweep + args + ["--out", str(out)]) == 0
-        solves.append(calls["eigendecompose"] + calls["analytic_spectrum"])
+        solves.append(calls["analytic_spectrum"])
     assert solves == [1, 1, 2]
     assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
 
 
-@pytest.mark.parametrize("topology, expected", [
-    ("ring", {"eigendecompose": 0, "build_laplacian": 0, "analytic_spectrum": 1}),
-    ("open_chain", {"eigendecompose": 1, "build_laplacian": 1, "analytic_spectrum": 0}),
-], ids=["ring", "open_chain"])
-def test_ring_spectrum_is_its_closed_form(tmp_path, monkeypatch, topology, expected):
-    calls = _count_calls(monkeypatch, *expected)
-    argv = ["sweep", "--target-occupancy", "0.1", "--theta-steps", "7",
-            "--topology", topology, "--n", "6", "--out", str(tmp_path / "s.csv")]
-    assert main(argv) == 0
-    assert calls == expected
+_LAPACK = ("eigh", "eigvalsh", "det", "inv", "solve")
+_NO_LAPACK_RUNS = {  # subcommand arguments, each run on chain-2, chain-5 and ring-5
+    "sweep": ["--theta-steps", "7", "--temperature-mk", "0,25"],
+    "spectrum": ["--theta-rad", "1", "--temperature-mk", "0,25"],
+    "time-delay": ["--theta-rad", "1"],
+    "broadband": ["--theta-steps", "3"],
+    "calibrate": ["--theta-steps", "3"],
+}
+_SPECTRUM_RUNS = {
+    "ring": ["sweep", "--theta-steps", "7", "--topology", "ring", "--n", "6"],
+    "open_chain": ["sweep", "--theta-steps", "7", "--topology", "open_chain", "--n", "6"],
+    **{
+        f"{command}-{topology}{n}": [command, *args, "--topology", topology, "--n", str(n)]
+        for command, args in _NO_LAPACK_RUNS.items()
+        for topology, n in (("open_chain", 2), ("open_chain", 5), ("ring", 5))
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(_SPECTRUM_RUNS.values()), ids=list(_SPECTRUM_RUNS))
+def test_ring_spectrum_is_its_closed_form(tmp_path, monkeypatch, argv):
+    # every CLI array takes its closed form, and these runs call no LAPACK at all
+    calls = _count_calls(monkeypatch, "analytic_spectrum")
+    lapack = []
+    for name in _LAPACK:
+        def recorded(*a, _name=name, _original=getattr(np.linalg, name), **kw):
+            lapack.append(_name)
+            return _original(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    out = tmp_path / "s.csv"
+    assert main([*argv, "--target-occupancy", "0.1", "--out", str(out)]) == 0
+    assert calls == {"analytic_spectrum": 1} and lapack == []
+    assert out.read_text().endswith("# status: ok\n")
+
+
+@pytest.mark.parametrize("topology, n", [
+    ("open_chain", 2), ("open_chain", 3), ("open_chain", 5), ("open_chain", 8),
+    ("ring", 3), ("ring", 6), ("ring", 31),
+])
+def test_sweep_cells_match_an_eigh_reference(topology, n):
+    # the CLI's closed-form spectrum against eigh's modes; pair sums, and so every
+    # cell, do not change under a rotation inside a ring's degenerate pair.  A zero-
+    # temperature g2 that is the small remainder of cancelling pair terms (ring-31's
+    # reach 5e-13 of the point's largest g2) carries the rounding of the largest.
+    from dcearray.correlations import g2_thermal, g2_zero_temperature
+    from dcearray.drive import calibrate_da0_over_grid
+    from dcearray.lattice import build_laplacian, eigendecompose
+
+    guides = range(n)
+    tokens = [f"n_{i + 1}" for i in guides]
+    tokens += [f"g2_{i + 1}_{j + 1}" for i in guides for j in guides]
+    cfg = parse_config(MINIMAL + f"topology = {topology}\nn = {n}\ntheta_steps = 9\n"
+                       f"temperature_mk = 0,25\nobservables = {','.join(tokens)}\n")
+    header, *rows, status = _sweep_lines(cfg)[0]
+    assert header == "# theta,phi,temperature_mk," + ",".join(tokens) + ",error"
+    assert status == "# status: ok"
+
+    spectrum = eigendecompose(build_laplacian(cfg.topology))
+    _, modes = calibrate_da0_over_grid(cfg.drive, cfg.line, spectrum, cfg.target_occupancy)
+    table = np.array([[float(c) for c in row.split(",")[:-1]] for row in rows])
+    for t_mk in cfg.temperatures:
+        corr = (g2_zero_temperature(modes, spectrum) if t_mk == 0
+                else g2_thermal(modes, spectrum, t_mk * 1e-3))
+        expected = np.hstack([corr.intensities, corr.g2_matrix.reshape(-1, n * n)])
+        at_t = table[table[:, 2] == t_mk]
+        np.testing.assert_array_equal(at_t[:, 0], cfg.drive.theta)
+        cells, largest_g2 = at_t[:, 3:], expected[:, n:].max(axis=1, keepdims=True)
+        np.testing.assert_allclose(cells[:, :n], expected[:, :n], rtol=1e-11, atol=0)
+        assert (abs(cells - expected)[:, n:]
+                <= 1e-11 * abs(expected[:, n:]) + 1e-13 * largest_g2).all()
 
 
 def test_kept_spectrum_is_read_only():
@@ -1643,12 +1704,13 @@ def test_overflowing_drive_fails_its_points_or_its_run(args, code, capsys):
 
 
 def test_entangle_fails_its_non_psd_points_alone(capsys):
+    # the qutrit block holds 1e-6 to 1e-3 of this state, so rounding sets the count
     args = ["entangle", "--theta-steps", "50", "--temperature-mk", "25",
             "--a0-joule", "1e-25", "--da0-joule", "3e-25"]
     assert main(args) == 2
     header, *rows, status = capsys.readouterr().out.splitlines()
     failed = [row for row in rows if not row.endswith(",")]
-    assert len(failed) == 9 and status == "# status: partial (9 of 50 points failed)"
+    assert len(failed) == 13 and status == "# status: partial (13 of 50 points failed)"
     for row in failed:
         assert ",,,,NotNormalized: reduced state has eigenvalue -" in row, row
     for row in rows:

@@ -11,6 +11,7 @@ from dcearray.errors import (
 )
 from dcearray.lattice import (
     ArrayTopology,
+    _fix_signs,
     analytic_spectrum,
     build_laplacian,
     eigendecompose,
@@ -142,6 +143,24 @@ def test_jacobi_matches_analytic_eigenvalues(kind, n):
         assert np.all(np.diff(ana.lambdas) > 0.0)
     for row in ana.modes:
         assert row[int(np.argmax(np.abs(row)))] > 0
+
+
+def _chain_rows(n):
+    """The open chain's closed form, one mode row at a time."""
+    i = np.arange(n)
+    modes = np.empty((n, n))
+    modes[0] = 1.0 / math.sqrt(n)
+    for k in range(1, n):
+        modes[k] = math.sqrt(2.0 / n) * np.cos(k * math.pi * (2 * i + 1) / (2.0 * n))
+    lambdas = np.array([2.0 - 2.0 * math.cos(k * math.pi / n) for k in range(n)])
+    return lambdas, _fix_signs(modes)
+
+
+def test_chain_closed_form_is_its_row_loop_to_the_bit():
+    for n in [*range(1, 300), 511, 512, 1024, 2047]:
+        spec = analytic_spectrum(ArrayTopology.open_chain(n))
+        lambdas, modes = _chain_rows(n)
+        assert np.array_equal(spec.lambdas, lambdas) and np.array_equal(spec.modes, modes), n
 
 
 @pytest.mark.parametrize("n", [2, 5, 17])
