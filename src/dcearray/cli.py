@@ -18,7 +18,6 @@ import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -40,7 +39,7 @@ from .errors import (
     UnknownKey,
     with_errors,
 )
-from .lattice import ArrayTopology, LaplacianSpectrum, analytic_spectrum
+from .lattice import ArrayTopology, analytic_spectrum
 from .quantum_state import (
     density_matrix,
     maximally_entangled_fidelity,
@@ -304,28 +303,15 @@ def _fmt(value) -> str:
     return "%.17g" % value
 
 
-@lru_cache(maxsize=2)
-def _spectrum(topology: ArrayTopology) -> LaplacianSpectrum:
-    """The array's spectrum, formed once per process for the last two arrays.
-
-    Every CLI array is an open chain or a ring, and each takes its closed
-    form, so the CLI solves no eigenproblem; a ring's fixes the cosine/sine
-    modes of each degenerate pair.  Later runs over a kept array share its
-    read-only arrays, so they write the same bytes; the memo holds at most
-    two spectra of (n^2 + n) floats.
-    """
-    spectrum = analytic_spectrum(topology)
-    spectrum.lambdas.flags.writeable = spectrum.modes.flags.writeable = False
-    return spectrum
-
-
 def _prepare(config: RunConfig) -> tuple:
     """The preamble of every subcommand: (spectrum, drive, modes), once.
 
-    The drive is the config's, its da0 calibrated over its theta when the
-    config sets a target occupancy.
+    Every CLI array is an open chain or a ring, and each takes its closed
+    form, so the CLI solves no eigenproblem; a ring's fixes the cosine/sine
+    modes of each degenerate pair.  The drive is the config's, its da0
+    calibrated over its theta when the config sets a target occupancy.
     """
-    spectrum = _spectrum(config.topology)
+    spectrum = analytic_spectrum(config.topology)
     if config.target_occupancy is None:
         return spectrum, config.drive, mode_response(config.drive, config.line, spectrum)
     return spectrum, *calibrate_da0_over_grid(

@@ -38,9 +38,10 @@ PHASE_VELOCITY = 1.2e8
 
 
 def _finite(name: str, value) -> None:
-    """Reject a value that is not finite, which passes every ``x <= 0`` check."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    """Reject a value or grid entry that is not finite; NaN passes any ``x <= 0``."""
+    bad = np.extract(~np.isfinite(value), value)
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class DriveParams:
     omega_d: float   # rad/s
 
     def __post_init__(self):
-        for name in ("a0", "da0", "phi", "omega_d"):
+        for name in ("a0", "da0", "phi", "theta", "omega_d"):
             _finite(name, getattr(self, name))
         if self.a0 <= 0:
             raise ValueError(f"a0 must be positive, got {self.a0}")

@@ -41,6 +41,10 @@ ARGUMENT_CHECKS = {
     "drive-nan-phi": (lambda: _drive(phi=math.nan), "phi must be finite, got nan"),
     "drive-inf-phi": (lambda: _drive(phi=-math.inf), "phi must be finite, got -inf"),
     "drive-nan-omega-d": (lambda: _drive(omega_d=math.nan), "omega_d must be finite, got nan"),
+    "drive-nan-theta": (lambda: _drive(theta=math.nan), "theta must be finite, got nan"),
+    "drive-inf-theta": (lambda: _drive(theta=math.inf), "theta must be finite, got inf"),
+    "drive-nan-theta-grid": (lambda: _drive(theta=np.array([0.3, math.nan])),
+                             "theta must be finite, got nan"),
     "line-z0": (lambda: LineParams(z0=0.0), "z0 must be positive"),
     "line-nan-z0": (lambda: LineParams(z0=math.nan), "z0 must be finite, got nan"),
     "calibrate-target": (

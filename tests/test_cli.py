@@ -23,17 +23,6 @@ from dcearray.errors import ConfigError, MissingRequired, RangeError, UnknownKey
 MINIMAL = "target_occupancy = 0.1\n"
 
 
-@pytest.fixture(autouse=True)
-def _no_kept_spectrum():
-    """Each test starts and ends with the CLI's spectrum memo empty, so no
-    result, count or premature computation depends on test order."""
-    import dcearray.cli as cli
-
-    cli._spectrum.cache_clear()
-    yield
-    cli._spectrum.cache_clear()
-
-
 def _sweep_lines(cfg):
     """run_sweep's CSV as lines, and its failure count."""
     chunks, failures = run_sweep(cfg)
@@ -588,7 +577,6 @@ def test_qutrit_observables_need_two_guides(args, capsys):
 
 
 def test_out_in_missing_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
-    # the memo starts empty, so a kept spectrum cannot hide an early solve
     import dcearray.cli as cli
 
     def no_compute(*_):
@@ -712,7 +700,7 @@ def test_one_process_solves_each_array_once(tmp_path, monkeypatch):
     for args, out in zip(([], [], ring), outs):
         assert main(sweep + args + ["--out", str(out)]) == 0
         solves.append(calls["analytic_spectrum"])
-    assert solves == [1, 1, 2]
+    assert solves == [1, 2, 3]
     assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
 
 
@@ -789,15 +777,25 @@ def test_sweep_cells_match_an_eigh_reference(topology, n):
                 <= 1e-11 * abs(expected[:, n:]) + 1e-13 * largest_g2).all()
 
 
-def test_kept_spectrum_is_read_only():
+def test_kept_spectrum_is_read_only(tmp_path, monkeypatch):
+    # no run keeps a spectrum: each forms its own, so writing into one run's
+    # arrays after it returns leaves the next run's bytes as they were
     import dcearray.cli as cli
 
-    spectrum = cli._spectrum(parse_config(MINIMAL).topology)
-    with pytest.raises(ValueError, match="read-only"):
-        spectrum.modes[0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        spectrum.lambdas[0] = 0.0
-    assert cli._spectrum(parse_config(MINIMAL).topology) is spectrum
+    spectra = []
+
+    def recorded(topology, _original=cli.analytic_spectrum):
+        spectra.append(_original(topology))
+        return spectra[-1]
+
+    monkeypatch.setattr(cli, "analytic_spectrum", recorded)
+    outs = [tmp_path / f"{k}.csv" for k in range(2)]
+    assert main(["sweep", "--target-occupancy", "0.1", "--out", str(outs[0])]) == 0
+    spectra[0].modes[...] = spectra[0].lambdas[...] = 0.0
+    assert main(["sweep", "--target-occupancy", "0.1", "--out", str(outs[1])]) == 0
+    assert len(spectra) == 2 and spectra[1].modes is not spectra[0].modes
+    assert spectra[1].lambdas is not spectra[0].lambdas
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_entangle_point_evaluates_its_state_once(tmp_path, monkeypatch):
@@ -1282,7 +1280,7 @@ def _calibrated_point(topology, theta, target):
     import dcearray.cli as cli
     from dcearray.drive import DriveParams, LineParams, calibrate_da0_over_grid
 
-    spectrum = cli._spectrum(topology)
+    spectrum = cli.analytic_spectrum(topology)
     line = LineParams(z0=55.0)
     seed = DriveParams(a0=1e-23, da0=1e-23 * 1e-3, phi=math.pi / 4.0, theta=theta,
                        omega_d=2.0 * math.pi * 10.3e9)
